@@ -9,6 +9,7 @@ values mean the projected data and benchmark disagree more.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -108,6 +109,19 @@ def map_to_ball(u, region: RegionSpec) -> np.ndarray:
     return out[0] if single else out
 
 
+@functools.lru_cache(maxsize=16)
+def _unit_ball_nodes(d: int, skip: int, n: int) -> np.ndarray:
+    """The first ``n`` Sobol nodes after ``skip``, mapped into the unit d-ball.
+
+    Read-only and shared: the ball map is affine in the center and radius,
+    so every region's nodes are ``center + radius * _unit_ball_nodes(...)``.
+    """
+    unit = RegionSpec(center=np.zeros(d), base_radius=1.0, multiplier=1.0)
+    nodes = map_to_ball(SobolStream(d, skip=skip).take(n), unit)
+    nodes.setflags(write=False)
+    return nodes
+
+
 def _evaluate(
     frame: ProjectionFrame, x: DataMatrix, y: DataMatrix, cfg: IndexConfig, n_nodes: int
 ) -> IndexValue:
@@ -118,8 +132,9 @@ def _evaluate(
     px = x.values @ frame.matrix
     py = y.values @ frame.matrix
     region = combined_region(px, py, cfg.k, tol=cfg.median_tol)
-    nodes = SobolStream(frame.d, skip=cfg.sobol_skip).take(n_nodes)
-    targets = map_to_ball(nodes, region)
+    targets = region.center + region.effective_radius * _unit_ball_nodes(
+        frame.d, cfg.sobol_skip, n_nodes
+    )
     gap = np.linalg.norm(
         estimate_sdf_batch(px, targets) - estimate_sdf_batch(py, targets), axis=1
     )

@@ -17,6 +17,10 @@ from .errors import DimensionMismatch
 # Cap on elements per broadcast block in batch SDF evaluation.
 _BLOCK_ELEMS = 1 << 22
 
+# Halvings of a Newton step that does not lower the objective before the
+# Weiszfeld step is taken instead.
+_HALVINGS = 4
+
 
 @dataclass(frozen=True)
 class SpatialMedianResult:
@@ -107,63 +111,91 @@ def estimate_sdf(sample, t) -> np.ndarray:
     return estimate_sdf_batch(sample, t[None, :])[0]
 
 
+def _norms(diff: np.ndarray) -> np.ndarray:
+    return np.sqrt((diff * diff).sum(axis=1))
+
+
+def _backtrack(diff: np.ndarray, dist: np.ndarray, step: np.ndarray):
+    """The first of ``step``, ``step / 2``, ... that lowers the objective.
+
+    ``diff`` and ``dist`` are the offsets from the iterate to the points and
+    their lengths. Returns the step with the offsets and lengths after it,
+    or None after ``_HALVINGS`` halvings.
+    """
+    for _ in range(_HALVINGS + 1):
+        new_diff = diff - step
+        new_dist = _norms(new_diff)
+        # The objective change summed from per-point differences, using
+        # |a - s|^2 - |a|^2 = s.(s - 2a): near the minimum the objective
+        # itself no longer resolves the decrease a Newton step makes.
+        if (((step - 2.0 * diff) @ step) / (new_dist + dist)).sum() < 0.0:
+            return step, new_diff, new_dist
+        step = 0.5 * step
+    return None
+
+
 def spatial_median(sample, tol: float = 1e-8, max_iter: int = 1000) -> SpatialMedianResult:
-    """Euclidean 1-median by a modified Weiszfeld iteration.
+    """Euclidean 1-median by a safeguarded Newton iteration.
 
-    Starts from the coordinate-wise median. When the iterate coincides with
-    data points the step is corrected: the point is declared optimal once the
-    pull of the remaining points does not exceed the coincident multiplicity
-    (the generalized optimality condition), and otherwise the Weiszfeld step
-    is shortened accordingly. Convergence is declared on the norm of the
-    objective subgradient — the summed unit vectors net of that multiplicity.
+    In one dimension the sample median is returned in closed form. Otherwise
+    the iteration starts from the coordinate-wise median and takes Newton
+    steps on the objective (the sum of distances), whose gradient is minus
+    the pull (the summed unit vectors towards the points) and whose Hessian
+    is the sum of (I - u u^T) / distance. A step is kept only if the
+    objective falls, halving it a few times before giving up; when it does
+    not, when the Hessian is ill-conditioned (all points on a line through
+    the iterate) or when the iterate sits on a data point, the modified
+    Weiszfeld step is taken instead. At a data point that step is shortened
+    by the coincident multiplicity, which keeps it a descent step.
 
+    The minimizer may be a data point, where the objective has a kink and
+    neither step gets there quickly. So whenever the nearest data point lies
+    within the length of the last proposed step, or coincides with the
+    iterate, the generalized optimality condition is tested exactly at that
+    point (Vardi & Zhang 2000): it is the minimizer if the pull of the
+    points outside its coincidence cluster does not exceed the cluster size.
     Coincidence is judged with a small tolerance relative to the coordinate
-    scale: when the minimizer is a data point the iterates approach it but
-    (in floating point) essentially never land on it exactly, and without
-    the snap the iteration stalls a few ulps away where the raw gradient is
-    far from zero.
+    scale. Convergence is declared on the norm of the objective subgradient,
+    the pull net of the coincident multiplicity.
 
     A failure to converge within ``max_iter`` steps is reported through the
     ``converged`` flag, not an exception.
     """
     pts = _points(sample)
-    m, _ = pts.shape
+    m, d = pts.shape
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
     if m == 1:
         return SpatialMedianResult(pts[0], 0.0, 0, True)
+    if d == 1:
+        return SpatialMedianResult(np.median(pts, axis=0), 0.0, 0, True)
 
-    scale = float(np.abs(pts).max())
-    snap = 1e-13 * scale
-    # Generous: the optimality test below is exact, so firing it early never
-    # returns a wrong point; near-optimal data points just get found sooner.
-    trigger = 0.1 * scale
+    snap = 1e-13 * float(np.abs(pts).max())
     t = np.median(pts, axis=0)
+    diff = pts - t
+    dist = _norms(diff)
+    reach = 0.0  # length of the longest step proposed last iteration
     gnorm = float("inf")
     for it in range(max_iter + 1):
-        diff = pts - t
-        dist = np.linalg.norm(diff, axis=1)
         coincident = dist <= snap
         eta = int(coincident.sum())
         if eta == m:
             return SpatialMedianResult(pts.mean(axis=0), 0.0, it, True)
-        if dist.min() <= trigger:
-            # Near a data point: test the generalized optimality condition
-            # exactly at it. If the pull of the points outside its coincidence
-            # cluster does not exceed the cluster size, it is the minimizer.
-            anchor = pts[int(np.argmin(dist))]
-            cluster = np.linalg.norm(pts - anchor, axis=1) <= snap
+        nearest = int(np.argmin(dist))
+        if eta or dist[nearest] <= reach:
+            anchor = pts[nearest]
+            cluster = _norms(pts - anchor) <= snap
             away = pts[~cluster] - anchor
-            units = away / np.linalg.norm(away, axis=1)[:, None]
-            r_c = float(np.linalg.norm(units.sum(axis=0)))
+            r_c = float(np.linalg.norm((away / _norms(away)[:, None]).sum(axis=0)))
             if r_c - cluster.sum() <= tol:
                 loc = pts[cluster].mean(axis=0)
                 return SpatialMedianResult(loc, max(r_c - cluster.sum(), 0.0), it, True)
         inv = np.zeros(m)
         inv[~coincident] = 1.0 / dist[~coincident]
-        pull = (diff * inv[:, None]).sum(axis=0)
+        units = diff * inv[:, None]
+        pull = units.sum(axis=0)
         r = float(np.linalg.norm(pull))
         gnorm = max(r - eta, 0.0) if eta else r
         if gnorm <= tol:
@@ -171,13 +203,26 @@ def spatial_median(sample, tol: float = 1e-8, max_iter: int = 1000) -> SpatialMe
             return SpatialMedianResult(loc, gnorm, it, True)
         if it == max_iter:
             break
+        reach = 0.0
+        if not eta:
+            hess = inv.sum() * np.eye(d) - (units * inv[:, None]).T @ units
+            w, v = np.linalg.eigh(hess)
+            if w[0] > 1e-8 * w[-1]:
+                step = v @ ((v.T @ pull) / w)
+                reach = float(np.linalg.norm(step))
+                kept = _backtrack(diff, dist, step)
+                if kept is not None:
+                    step, diff, dist = kept
+                    t = t + step
+                    continue
         target = (pts * inv[:, None]).sum(axis=0) / inv.sum()
         if eta:
-            # Shortened step away from a non-optimal data point.
             beta = min(1.0, eta / r)
-            t = (1.0 - beta) * target + beta * t
-        else:
-            t = target
+            target = (1.0 - beta) * target + beta * t
+        reach = max(reach, float(np.linalg.norm(target - t)))
+        t = target
+        diff = pts - t
+        dist = _norms(diff)
     return SpatialMedianResult(t, gnorm, max_iter, False)
 
 

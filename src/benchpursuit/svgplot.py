@@ -2,8 +2,9 @@
 
 No plotting library is used: element order, coordinate formatting, and
 styling are fixed functions of the input, so identical points yield
-identical bytes. Two-dimensional samples get one panel; three-dimensional
-samples get the three pairwise coordinate panels side by side.
+identical bytes. One-dimensional samples get one strip panel with a row per
+source; two-dimensional samples get one panel; three-dimensional samples get
+the three pairwise coordinate panels side by side.
 """
 
 from __future__ import annotations
@@ -78,20 +79,41 @@ def _glyph(kind: str, color: str, cx: float, cy: float) -> str:
 def _panel(
     samples: list[ProjectedSample],
     ax_x: int,
-    ax_y: int,
+    ax_y: int | None,
     names: list[str],
     offset_x: float,
 ) -> str:
+    """One panel: ``ax_x`` against ``ax_y``, or a strip when ``ax_y`` is None.
+
+    A strip puts each source on a row of its own, in order of first
+    appearance, with the source name inside the panel above the row.
+    """
     left = offset_x + _MARGIN_L
     top = _MARGIN_T
     lo_x, hi_x = _extent(samples, ax_x)
-    lo_y, hi_y = _extent(samples, ax_y)
 
     def sx(v: float) -> float:
         return left + (v - lo_x) / (hi_x - lo_x) * _PANEL
 
-    def sy(v: float) -> float:
-        return top + _PANEL - (v - lo_y) / (hi_y - lo_y) * _PANEL
+    if ax_y is None:
+        rows = list(dict.fromkeys(s.source for s in samples))
+
+        def y_of(sample: ProjectedSample, row: np.ndarray) -> float:
+            return top + (rows.index(sample.source) + 0.5) / len(rows) * _PANEL
+
+        y_ticks = [(top + (j + 0.5) / len(rows) * _PANEL, src) for j, src in enumerate(rows)]
+        label_x, label_dy, anchor = left + 6, -8, "start"
+    else:
+        lo_y, hi_y = _extent(samples, ax_y)
+
+        def sy(v: float) -> float:
+            return top + _PANEL - (v - lo_y) / (hi_y - lo_y) * _PANEL
+
+        def y_of(sample: ProjectedSample, row: np.ndarray) -> float:
+            return sy(float(row[ax_y]))
+
+        y_ticks = [(sy(tick), f"{tick:.6g}") for tick in _nice_ticks(lo_y, hi_y)]
+        label_x, label_dy, anchor = left - 7, 3, "end"
 
     parts = [
         f'<rect x="{_fmt(left)}" y="{_fmt(top)}" width="{_PANEL}" height="{_PANEL}" '
@@ -107,38 +129,38 @@ def _panel(
             f'<text x="{_fmt(x)}" y="{_fmt(top + _PANEL + 16)}" font-size="10" '
             f'text-anchor="middle" fill="#222222">{tick:.6g}</text>'
         )
-    for tick in _nice_ticks(lo_y, hi_y):
-        y = sy(tick)
+    for y, label in y_ticks:
         parts.append(
             f'<line x1="{_fmt(left - 4)}" y1="{_fmt(y)}" x2="{_fmt(left)}" '
             f'y2="{_fmt(y)}" stroke="#444444" stroke-width="1"/>'
         )
         parts.append(
-            f'<text x="{_fmt(left - 7)}" y="{_fmt(y + 3)}" font-size="10" '
-            f'text-anchor="end" fill="#222222">{tick:.6g}</text>'
+            f'<text x="{_fmt(label_x)}" y="{_fmt(y + label_dy)}" font-size="10" '
+            f'text-anchor="{anchor}" fill="#222222">{escape(label)}</text>'
         )
     parts.append(
         f'<text x="{_fmt(left + _PANEL / 2)}" y="{_fmt(top + _PANEL + 32)}" font-size="11" '
         f'text-anchor="middle" fill="#222222">{escape(names[ax_x])}</text>'
     )
-    parts.append(
-        f'<text x="{_fmt(offset_x + 14)}" y="{_fmt(top + _PANEL / 2)}" font-size="11" '
-        f'text-anchor="middle" fill="#222222" '
-        f'transform="rotate(-90 {_fmt(offset_x + 14)} {_fmt(top + _PANEL / 2)})">'
-        f"{escape(names[ax_y])}</text>"
-    )
+    if ax_y is not None:
+        parts.append(
+            f'<text x="{_fmt(offset_x + 14)}" y="{_fmt(top + _PANEL / 2)}" font-size="11" '
+            f'text-anchor="middle" fill="#222222" '
+            f'transform="rotate(-90 {_fmt(offset_x + 14)} {_fmt(top + _PANEL / 2)})">'
+            f"{escape(names[ax_y])}</text>"
+        )
     for sample in samples:
         kind, color = _STYLES.get(sample.source, _FALLBACK_STYLE)
         for row in np.asarray(sample.points):
-            parts.append(_glyph(kind, color, sx(float(row[ax_x])), sy(float(row[ax_y]))))
+            parts.append(_glyph(kind, color, sx(float(row[ax_x])), y_of(sample, row)))
     return "\n".join(parts)
 
 
 def emit_svg(samples, axis_names=None, title: str = "") -> str:
     """Render projected samples to an SVG document string.
 
-    All samples must share the same dimension (2 or 3); an empty sample is
-    fine and contributes axes only. Glyphs distinguish sources: circles for
+    All samples must share the same dimension (1, 2 or 3); an empty sample
+    is fine and contributes axes only. Glyphs distinguish sources: circles for
     "data", crosses for "benchmark".
     """
     samples = [s if isinstance(s, ProjectedSample) else ProjectedSample(s) for s in samples]
@@ -147,13 +169,13 @@ def emit_svg(samples, axis_names=None, title: str = "") -> str:
     d = samples[0].d
     if any(s.d != d for s in samples):
         raise DimensionMismatch("all samples must share the same dimension")
-    if d not in (2, 3):
-        raise UnsupportedDimension(f"plots implemented for d in {{2, 3}}, got d={d}")
+    if d not in (1, 2, 3):
+        raise UnsupportedDimension(f"plots implemented for d in {{1, 2, 3}}, got d={d}")
     names = list(axis_names) if axis_names is not None else [f"c{i + 1}" for i in range(d)]
     if len(names) != d:
         raise ValueError(f"expected {d} axis names, got {len(names)}")
 
-    pairs = [(0, 1)] if d == 2 else [(0, 1), (0, 2), (1, 2)]
+    pairs = {1: [(0, None)], 2: [(0, 1)], 3: [(0, 1), (0, 2), (1, 2)]}[d]
     panel_w = _MARGIN_L + _PANEL + _MARGIN_R
     width = len(pairs) * panel_w + (len(pairs) - 1) * _GAP
     height = _MARGIN_T + _PANEL + _MARGIN_B

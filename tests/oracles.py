@@ -40,6 +40,60 @@ def median_objective(points: np.ndarray, g: np.ndarray) -> float:
     return float(np.linalg.norm(pts - np.asarray(g, dtype=float), axis=1).sum())
 
 
+def weiszfeld_median(
+    points: np.ndarray, tol: float = 1e-8, max_iter: int = 1000
+) -> tuple[np.ndarray, bool]:
+    """Euclidean 1-median by the modified Weiszfeld iteration; (location, converged).
+
+    The package's solver before it took Newton steps, kept as the reference.
+    It starts from the coordinate-wise median. Near a data point (within 0.1
+    of the coordinate scale) it tests the generalized optimality condition
+    there exactly: the point is optimal once the pull of the points outside
+    its coincidence cluster does not exceed the cluster size. At a data
+    point the Weiszfeld step is shortened by the coincident multiplicity.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts.reshape(-1, 1)
+    m = len(pts)
+    if m == 1:
+        return pts[0].copy(), True
+    scale = float(np.abs(pts).max())
+    snap = 1e-13 * scale
+    trigger = 0.1 * scale
+    t = np.median(pts, axis=0)
+    for it in range(max_iter + 1):
+        diff = pts - t
+        dist = np.linalg.norm(diff, axis=1)
+        coincident = dist <= snap
+        eta = int(coincident.sum())
+        if eta == m:
+            return pts.mean(axis=0), True
+        if dist.min() <= trigger:
+            anchor = pts[int(np.argmin(dist))]
+            cluster = np.linalg.norm(pts - anchor, axis=1) <= snap
+            away = pts[~cluster] - anchor
+            units = away / np.linalg.norm(away, axis=1)[:, None]
+            if float(np.linalg.norm(units.sum(axis=0))) - cluster.sum() <= tol:
+                return pts[cluster].mean(axis=0), True
+        inv = np.zeros(m)
+        inv[~coincident] = 1.0 / dist[~coincident]
+        pull = (diff * inv[:, None]).sum(axis=0)
+        r = float(np.linalg.norm(pull))
+        gnorm = max(r - eta, 0.0) if eta else r
+        if gnorm <= tol:
+            return (pts[coincident].mean(axis=0) if eta else t), True
+        if it == max_iter:
+            break
+        target = (pts * inv[:, None]).sum(axis=0) / inv.sum()
+        if eta:
+            beta = min(1.0, eta / r)
+            t = (1.0 - beta) * target + beta * t
+        else:
+            t = target
+    return t, False
+
+
 def brute_median_objective(points: np.ndarray, cells: int = 2000) -> float:
     """Minimum of the 1-median objective over a bounding-box grid.
 

@@ -119,7 +119,7 @@ def test_criterion_04_spatial_median_vs_grid(acceptance):
         worst_gap = max(worst_gap, gap)
     acceptance.record(
         4,
-        "Weiszfeld objective is within 1e-6 of a 2000x2000 bounding-box grid "
+        "spatial-median objective is within 1e-6 of a 2000x2000 bounding-box grid "
         "minimum with gradient norm at 1e-8, 50 random 5-point planar sets",
         all_converged and worst_grad <= 1e-8 and worst_gap <= 1e-6,
         f"max objective excess {worst_gap:.2e}, max gradient norm {worst_grad:.2e}",

@@ -1,10 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import benchpursuit
+from benchpursuit.benchmarks import lcg_triplets
 from benchpursuit.cli import main, parse_benchmark
 from benchpursuit.dataio import ingest_csv, write_csv
 from benchpursuit.errors import ConfigError
@@ -158,6 +162,17 @@ class TestRunCommand:
         assert (out2 / "report.json").is_file()
         assert "median" in capsys.readouterr().err
 
+    def test_dim_1_writes_report(self, tmp_path):
+        data = tmp_path / "randu.csv"
+        write_csv(lcg_triplets("randu", seed=1, n=400), data)
+        out = tmp_path / "out"
+        code = main(
+            ["run", "--data", str(data), "--benchmark", "lcg:minstd,1", "--out", str(out),
+             "--dim", "1", "--restarts", "2", "--iterations", "10"]
+        )
+        assert code in (0, 3)
+        assert (out / "report.json").is_file()
+
 
 class TestFilterCommand:
     def test_keep_labels(self, data_csv, tmp_path, capsys):
@@ -248,10 +263,15 @@ class TestSplitCommand:
 
 
 def test_module_entry_help():
+    # The child finds the package where this process found it, installed or not.
+    src = str(Path(benchpursuit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-m", "benchpursuit", "--help"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "usage" in proc.stdout.lower()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from benchpursuit.errors import DimensionMismatch
@@ -12,7 +12,43 @@ from benchpursuit.spatial import (
     estimate_sdf_batch,
     spatial_median,
 )
-from oracles import median_objective, sdf_loop
+from oracles import brute_median_objective, median_objective, sdf_loop, weiszfeld_median
+
+SCALES = st.sampled_from([1e-6, 1.0, 1e6])
+
+
+def _minimizer_is_unique(pts: np.ndarray) -> bool:
+    """The 1-median is unique unless the points are collinear (up to
+    rounding) with an even count whose two middle positions differ."""
+    centred = pts - pts[0]
+    spread = np.linalg.svd(centred, compute_uv=False)
+    if len(spread) > 1 and spread[1] > 1e-9 * spread[0]:
+        return True
+    direction = centred[int(np.argmax(np.abs(centred).sum(axis=1)))]
+    along = np.sort(centred @ direction)
+    half = len(along) // 2
+    return len(along) % 2 == 1 or along[half - 1] == along[half]
+
+
+def _check_solver(pts: np.ndarray) -> None:
+    """Converged; objective no worse than the reference Weiszfeld's nor, in
+    the plane, than a grid's. Where the minimizer is unique, both solvers
+    run to a gradient norm of 1e-12 land within 1e-9 of the coordinate
+    scale of each other (at 1e-8 an ill-conditioned set leaves either one
+    up to about 6e-9 away)."""
+    res = spatial_median(pts)
+    assert res.converged
+    ref, _ = weiszfeld_median(pts)
+    f = median_objective(pts, res.location)
+    assert f <= median_objective(pts, ref) * (1.0 + 1e-12)
+    if pts.shape[1] == 2:
+        assert f <= brute_median_objective(pts, cells=200) * (1.0 + 1e-12)
+    if _minimizer_is_unique(pts):
+        tight = spatial_median(pts, tol=1e-12)
+        ref, ref_converged = weiszfeld_median(pts, tol=1e-12, max_iter=5000)
+        assert tight.converged
+        if ref_converged:
+            assert np.abs(tight.location - ref).max() <= 1e-9 * np.abs(pts).max()
 
 
 class TestEstimateSdf:
@@ -100,6 +136,11 @@ class TestSpatialMedian:
             assert f_at <= median_objective(pts, p) + 1e-12
 
     @given(st.integers(0, 10_000))
+    @example(163)
+    @example(362)
+    @example(512)
+    @example(906)
+    @example(1155)
     @settings(max_examples=20, deadline=None)
     def test_beats_every_data_point(self, seed):
         pts = np.random.default_rng(seed).standard_normal((7, 2))
@@ -130,6 +171,44 @@ class TestSpatialMedian:
             spatial_median(pts, tol=0.0)
         with pytest.raises(ValueError):
             spatial_median(pts, max_iter=-1)
+
+
+class TestSolverAgainstReference:
+    """Property tests of the Newton solver against the reference Weiszfeld."""
+
+    @given(st.integers(0, 10_000), st.integers(1, 3), SCALES)
+    @settings(max_examples=25, deadline=None)
+    def test_general_position(self, seed, d, scale):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(3, 40))
+        _check_solver((rng.standard_normal((m, d)) + 3.0 * rng.standard_normal(d)) * scale)
+
+    @given(st.integers(0, 10_000), st.integers(1, 3), SCALES)
+    @settings(max_examples=25, deadline=None)
+    def test_coincident_clusters(self, seed, d, scale):
+        rng = np.random.default_rng(seed)
+        centres = rng.standard_normal((int(rng.integers(2, 5)), d)) * scale
+        pts = np.repeat(centres, rng.integers(1, 6, size=len(centres)), axis=0)
+        _check_solver(rng.permutation(pts))
+
+    @given(st.integers(0, 10_000), st.integers(2, 3), SCALES)
+    @settings(max_examples=25, deadline=None)
+    def test_collinear(self, seed, d, scale):
+        rng = np.random.default_rng(seed)
+        along = rng.standard_normal(int(rng.integers(2, 13)))
+        _check_solver((rng.standard_normal(d) + along[:, None] * rng.standard_normal(d)) * scale)
+
+    @given(st.integers(0, 10_000), st.integers(1, 3), SCALES)
+    @settings(max_examples=25, deadline=None)
+    def test_duplicated_pool(self, seed, d, scale):
+        """Pooling a sample with itself, as the index does for identical samples."""
+        rng = np.random.default_rng(seed)
+        pts = rng.standard_normal((int(rng.integers(2, 20)), d)) * scale
+        _check_solver(np.vstack([pts, pts]))
+        if _minimizer_is_unique(pts):
+            pooled = spatial_median(np.vstack([pts, pts]), tol=1e-12).location
+            alone = spatial_median(pts, tol=1e-12).location
+            assert np.abs(pooled - alone).max() <= 1e-9 * np.abs(pts).max()
 
 
 class TestRegion:

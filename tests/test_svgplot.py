@@ -85,9 +85,21 @@ def test_raw_arrays_accepted(rng):
     ET.fromstring(svg)
 
 
+def test_1d_strip_panel(rng):
+    """One panel, with one labelled row of glyphs per source."""
+    samples = [
+        ProjectedSample(rng.standard_normal((6, 1)), source="data"),
+        ProjectedSample(rng.standard_normal((4, 1)), source="benchmark"),
+    ]
+    root = ET.fromstring(emit_svg(samples))
+    assert len(_panel_frames(root)) == 1
+    labels = [t.text for t in root.findall(f".//{SVG_NS}text")]
+    assert labels.count("data") == 2 and labels.count("benchmark") == 2  # row and legend
+    rows = {c.get("cy") for c in root.findall(f".//{SVG_NS}circle")}
+    assert len(rows) == 2  # the data row and the legend glyph
+
+
 def test_unsupported_dimensions(rng):
-    with pytest.raises(UnsupportedDimension):
-        emit_svg([ProjectedSample(rng.standard_normal((5, 1)))])
     with pytest.raises(UnsupportedDimension):
         emit_svg([ProjectedSample(rng.standard_normal((5, 4)))])
 
