@@ -9,7 +9,7 @@ structure to find.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -146,21 +146,17 @@ class BenchmarkSpec:
             raise ConfigError(f"unknown benchmark kind '{self.kind}'")
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        for key in ("path", "seed", "label_column", "level", "generator", "n_rows"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
+        """The JSON form: every field that is set."""
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "BenchmarkSpec":
-        known = {"kind", "path", "seed", "label_column", "level", "generator", "n_rows"}
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown benchmark fields: {sorted(unknown)}")
-        if "kind" not in raw:
-            raise ConfigError("benchmark spec needs a 'kind'")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in raw]
+        if missing:
+            raise ConfigError(f"benchmark spec needs {missing}")
         spec = cls(**raw)
         spec.validate()
         return spec

@@ -62,6 +62,19 @@ def parse_benchmark(text: str) -> BenchmarkSpec:
     raise ConfigError(f"unknown benchmark kind '{kind}'")
 
 
+# The run flags that set one field of the manifest's index or search config:
+# (flag, type or choices, RunManifest section, field, help).
+_CONFIG_FLAGS = (
+    ("--k", float, "index_cfg", "k", "integration radius multiplier"),
+    ("--qmc-points", int, "index_cfg", "n_nodes", "search-phase node count"),
+    ("--qmc-refine", int, "index_cfg", "n_nodes_refine", "refinement node count"),
+    ("--restarts", int, "search_cfg", "restarts", "number of random restarts"),
+    ("--iterations", int, "search_cfg", "max_iterations", "optimizer iterations per restart"),
+    ("--optimizer", ("anneal", "geodesic"), "search_cfg", "optimizer", None),
+    ("--seed", int, "search_cfg", "rng_seed", "base seed; restart r uses seed + r"),
+)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="benchpursuit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -75,13 +88,11 @@ def _build_parser() -> _Parser:
         help="file:PATH | permute:SEED | class:COL=LEVEL | lcg:NAME,SEED[,ROWS]",
     )
     p_run.add_argument("--dim", type=int, help="projection dimension (default 2)")
-    p_run.add_argument("--k", type=float, help="integration radius multiplier")
-    p_run.add_argument("--qmc-points", type=int, help="search-phase node count")
-    p_run.add_argument("--qmc-refine", type=int, help="refinement node count")
-    p_run.add_argument("--restarts", type=int, help="number of random restarts")
-    p_run.add_argument("--iterations", type=int, help="optimizer iterations per restart")
-    p_run.add_argument("--optimizer", choices=["anneal", "geodesic"])
-    p_run.add_argument("--seed", type=int, help="base seed; restart r uses seed + r")
+    for flag, kind, _, _, help_text in _CONFIG_FLAGS:
+        if isinstance(kind, tuple):
+            p_run.add_argument(flag, choices=kind, help=help_text)
+        else:
+            p_run.add_argument(flag, type=kind, help=help_text)
     p_run.add_argument(
         "--standardize",
         action="store_true",
@@ -110,6 +121,13 @@ def _build_parser() -> _Parser:
 def _manifest_from_args(args) -> RunManifest:
     if args.manifest:
         manifest = RunManifest.load(args.manifest)
+        # Flags override manifest fields.
+        if args.data is not None:
+            manifest.data_path = args.data
+        if args.benchmark is not None:
+            manifest.benchmark = parse_benchmark(args.benchmark)
+        if args.out is not None:
+            manifest.out_dir = args.out
     else:
         for flag, name in ((args.data, "--data"), (args.benchmark, "--benchmark"), (args.out, "--out")):
             if flag is None:
@@ -119,46 +137,20 @@ def _manifest_from_args(args) -> RunManifest:
             benchmark=parse_benchmark(args.benchmark),
             out_dir=args.out,
         )
-    idx = manifest.index_cfg
-    sch = manifest.search_cfg
-    if args.manifest:
-        # Flags override manifest fields.
-        if args.data is not None:
-            manifest.data_path = args.data
-        if args.benchmark is not None:
-            manifest.benchmark = parse_benchmark(args.benchmark)
-        if args.out is not None:
-            manifest.out_dir = args.out
     if args.label_column is not None:
         manifest.label_column = args.label_column
     if args.dim is not None:
         manifest.dim = args.dim
     if args.standardize is not None:
         manifest.standardize = args.standardize
-    try:
-        idx_over = {
-            key: value
-            for key, value in (("k", args.k), ("n_nodes", args.qmc_points), ("n_nodes_refine", args.qmc_refine))
-            if value is not None
-        }
-        if idx_over:
-            idx = dataclasses.replace(idx, **idx_over)
-        sch_over = {
-            key: value
-            for key, value in (
-                ("restarts", args.restarts),
-                ("max_iterations", args.iterations),
-                ("optimizer", args.optimizer),
-                ("rng_seed", args.seed),
-            )
-            if value is not None
-        }
-        if sch_over:
-            sch = dataclasses.replace(sch, **sch_over)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    manifest.index_cfg = idx
-    manifest.search_cfg = sch
+    for flag, _, section, name, _ in _CONFIG_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            try:
+                cfg = dataclasses.replace(getattr(manifest, section), **{name: value})
+            except ValueError as err:
+                raise ConfigError(str(err)) from err
+            setattr(manifest, section, cfg)
     return manifest
 
 

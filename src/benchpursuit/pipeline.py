@@ -11,7 +11,7 @@ import csv
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +20,40 @@ from .benchmarks import BenchmarkSpec, build_benchmark
 from .dataio import fmt_float, ingest_csv, standardize_columns
 from .errors import ConfigError, DimensionMismatch, IndexOutOfRange, PipelineError
 from .frames import DataMatrix, ProjectedSample, ProjectionFrame, split_by_row_norm
-from .optimize import AnnealConfig, GeodesicConfig, SearchConfig, SolutionProjection, run_search
+from .optimize import SearchConfig, SolutionProjection, run_search
 from .projection_index import IndexConfig, IndexValue, refine_index
 from .spatial import RegionSpec, SpatialMedianResult
 from .svgplot import emit_svg
+
+
+# Manifest JSON keys that differ from the RunManifest field names.
+_JSON_KEYS = {"data_path": "data", "index_cfg": "index", "search_cfg": "search"}
+# Coercions of the manifest's own scalar fields, keyed by their annotation
+# (a string, as annotations are postponed); nested configs validate theirs.
+_COERCE = {"str": str, "int": int, "bool": bool}
+
+
+def _build(cls, raw, keys: dict[str, str] | None = None):
+    """Build the dataclass ``cls`` from the JSON object ``raw``.
+
+    The keys are the field names, renamed by ``keys``. Unknown keys and
+    missing required ones are rejected, and a field with a
+    ``default_factory`` is built from its own object the same way.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{cls.__name__} settings must be a JSON object, got {raw!r}")
+    by_key = {(keys or {}).get(f.name, f.name): f for f in fields(cls)}
+    unknown = set(raw) - set(by_key)
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
+    kwargs = {}
+    for key, f in by_key.items():
+        if key in raw:
+            nested = f.default_factory
+            kwargs[f.name] = raw[key] if nested is MISSING else _build(nested, raw[key])
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{cls.__name__} needs '{key}'")
+    return cls(**kwargs)
 
 
 @dataclass
@@ -40,79 +70,27 @@ class RunManifest:
     standardize: bool = False
 
     def to_dict(self) -> dict:
-        idx = self.index_cfg
-        sch = self.search_cfg
-        return {
-            "data": self.data_path,
-            "label_column": self.label_column,
-            "benchmark": self.benchmark.to_dict(),
-            "dim": self.dim,
-            "index": {
-                "k": idx.k,
-                "n_nodes": idx.n_nodes,
-                "n_nodes_refine": idx.n_nodes_refine,
-                "sobol_skip": idx.sobol_skip,
-                "median_tol": idx.median_tol,
-            },
-            "search": {
-                "optimizer": sch.optimizer,
-                "restarts": sch.restarts,
-                "max_iterations": sch.max_iterations,
-                "rng_seed": sch.rng_seed,
-                "anneal": {
-                    "t0": sch.anneal.t0,
-                    "cooling": sch.anneal.cooling,
-                    "step_scale0": sch.anneal.step_scale0,
-                    "step_decay": sch.anneal.step_decay,
-                },
-                "geodesic": {
-                    "max_angle": sch.geodesic.max_angle,
-                    "shrink": sch.geodesic.shrink,
-                    "min_angle": sch.geodesic.min_angle,
-                    "n_probes": sch.geodesic.n_probes,
-                },
-            },
-            "standardize": self.standardize,
-            "out_dir": self.out_dir,
-        }
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, BenchmarkSpec):
+                value = value.to_dict()
+            elif is_dataclass(value):
+                value = asdict(value)
+            out[_JSON_KEYS.get(f.name, f.name)] = value
+        return out
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunManifest":
-        known = {
-            "data",
-            "label_column",
-            "benchmark",
-            "dim",
-            "index",
-            "search",
-            "standardize",
-            "out_dir",
-        }
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown manifest fields: {sorted(unknown)}")
-        for required in ("data", "benchmark", "out_dir"):
-            if required not in raw:
-                raise ConfigError(f"manifest needs '{required}'")
-        idx = dict(raw.get("index", {}))
-        sch = dict(raw.get("search", {}))
-        anneal = AnnealConfig(**sch.pop("anneal", {}))
-        geodesic = GeodesicConfig(**sch.pop("geodesic", {}))
         try:
-            index_cfg = IndexConfig(**idx)
-            search_cfg = SearchConfig(anneal=anneal, geodesic=geodesic, **sch)
+            manifest = _build(cls, raw, _JSON_KEYS)
+            manifest.benchmark = BenchmarkSpec.from_dict(manifest.benchmark)
+            for f in fields(manifest):
+                if f.type in _COERCE:
+                    setattr(manifest, f.name, _COERCE[f.type](getattr(manifest, f.name)))
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad manifest settings: {err}") from err
-        return cls(
-            data_path=str(raw["data"]),
-            benchmark=BenchmarkSpec.from_dict(dict(raw["benchmark"])),
-            out_dir=str(raw["out_dir"]),
-            label_column=raw.get("label_column"),
-            dim=int(raw.get("dim", 2)),
-            index_cfg=index_cfg,
-            search_cfg=search_cfg,
-            standardize=bool(raw.get("standardize", False)),
-        )
+        return manifest
 
     def save(self, path) -> None:
         Path(path).write_text(dumps_canonical(self.to_dict()), encoding="utf-8")
@@ -248,7 +226,14 @@ class SolutionReport:
 
     @classmethod
     def load(cls, path) -> "SolutionReport":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+        try:
+            return cls._from_dict(json.loads(text))
+        except (KeyError, TypeError, ValueError) as err:
+            raise ConfigError(f"{path} is not a benchpursuit report: {err!r}") from err
+
+    @classmethod
+    def _from_dict(cls, raw: dict) -> "SolutionReport":
         manifest = RunManifest.from_dict(raw["manifest"])
         solutions = []
         files = []
@@ -314,10 +299,22 @@ def _write_frame_csv(path: Path, matrix: np.ndarray, variable_names) -> None:
             writer.writerow([name] + [fmt_float(v) for v in row])
 
 
+def _load_input(manifest: RunManifest) -> DataMatrix:
+    """The manifest's dataset, standardized if asked.
+
+    A class-split benchmark names the label column when the manifest does not.
+    """
+    label_col = manifest.label_column
+    if manifest.benchmark.kind == "class_split" and label_col is None:
+        label_col = manifest.benchmark.label_column
+    data = ingest_csv(manifest.data_path, label_col)
+    return standardize_columns(data) if manifest.standardize else data
+
+
 def run(manifest: RunManifest) -> SolutionReport:
     """Execute a manifest end to end and write its outputs.
 
-    Stages: ingest, standardize (optional), benchmark, search, refine,
+    Stages: ingest (standardizing if asked), benchmark, search, refine,
     report. Any failure is re-raised as :class:`PipelineError` naming the
     stage. A run whose solutions all score exactly zero (data and benchmark
     indistinguishable) is flagged degenerate; spatial-median non-convergence
@@ -329,14 +326,7 @@ def run(manifest: RunManifest) -> SolutionReport:
             raise ConfigError("dim must be at least 1")
 
     with _stage("ingest"):
-        label_col = manifest.label_column
-        if manifest.benchmark.kind == "class_split" and label_col is None:
-            label_col = manifest.benchmark.label_column
-        x0 = ingest_csv(manifest.data_path, label_col)
-
-    if manifest.standardize:
-        with _stage("standardize"):
-            x0 = standardize_columns(x0)
+        x0 = _load_input(manifest)
 
     with _stage("benchmark"):
         data, bench = build_benchmark(manifest.benchmark, x0)
@@ -443,13 +433,7 @@ def split_and_project(
     sol = report.solutions[solution_id]
     frame = sol.frame
     if data is None:
-        manifest = report.manifest
-        label_col = manifest.label_column
-        if manifest.benchmark.kind == "class_split" and label_col is None:
-            label_col = manifest.benchmark.label_column
-        data = ingest_csv(manifest.data_path, label_col)
-        if manifest.standardize:
-            data = standardize_columns(data)
+        data = _load_input(report.manifest)
     if data.p != frame.p:
         raise DimensionMismatch(f"data has {data.p} columns but frame has {frame.p} rows")
     low, high = split_by_row_norm(frame, threshold)

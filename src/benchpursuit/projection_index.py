@@ -122,9 +122,21 @@ def _unit_ball_nodes(d: int, skip: int, n: int) -> np.ndarray:
     return nodes
 
 
-def _evaluate(
-    frame: ProjectionFrame, x: DataMatrix, y: DataMatrix, cfg: IndexConfig, n_nodes: int
+def index(
+    frame: ProjectionFrame,
+    x: DataMatrix,
+    y: DataMatrix,
+    cfg: IndexConfig | None = None,
+    n_nodes: int | None = None,
 ) -> IndexValue:
+    """Index of ``frame`` for data ``x`` against benchmark ``y``.
+
+    ``n_nodes`` defaults to the search-phase node count ``cfg.n_nodes``.
+    """
+    cfg = cfg if cfg is not None else IndexConfig()
+    n_nodes = n_nodes if n_nodes is not None else cfg.n_nodes
+    if n_nodes < 1:
+        raise ValueError("node counts must be at least 1")
     if x.p != frame.p:
         raise DimensionMismatch(f"data has {x.p} columns but frame has {frame.p} rows")
     if y.p != frame.p:
@@ -142,17 +154,9 @@ def _evaluate(
     return IndexValue(value=value, n_nodes_used=n_nodes, region=region)
 
 
-def index(
-    frame: ProjectionFrame, x: DataMatrix, y: DataMatrix, cfg: IndexConfig | None = None
-) -> IndexValue:
-    """Search-phase index of ``frame`` for data ``x`` against benchmark ``y``."""
-    cfg = cfg if cfg is not None else IndexConfig()
-    return _evaluate(frame, x, y, cfg, cfg.n_nodes)
-
-
 def refine_index(
     frame: ProjectionFrame, x: DataMatrix, y: DataMatrix, cfg: IndexConfig | None = None
 ) -> IndexValue:
-    """Re-score ``frame`` at the refinement node count."""
+    """Re-score ``frame`` at the refinement node count ``cfg.n_nodes_refine``."""
     cfg = cfg if cfg is not None else IndexConfig()
-    return _evaluate(frame, x, y, cfg, cfg.n_nodes_refine)
+    return index(frame, x, y, cfg, cfg.n_nodes_refine)

@@ -119,6 +119,55 @@ class TestRunCommand:
         assert report2["restarts_requested"] == 3
         assert report2["manifest"]["search"]["restarts"] == 3
 
+    @pytest.mark.parametrize(
+        "flag, value, section, key, expected",
+        [
+            ("--k", "2.5", "index", "k", 2.5),
+            ("--qmc-points", "11", "index", "n_nodes", 11),
+            ("--qmc-refine", "33", "index", "n_nodes_refine", 33),
+            ("--restarts", "3", "search", "restarts", 3),
+            ("--iterations", "6", "search", "max_iterations", 6),
+            ("--optimizer", "geodesic", "search", "optimizer", "geodesic"),
+            ("--seed", "41", "search", "rng_seed", 41),
+        ],
+    )
+    def test_config_flag_overrides_manifest(
+        self, data_csv, tmp_path, flag, value, section, key, expected
+    ):
+        out = tmp_path / "out"
+        assert main(_run_args(data_csv, out)) == 0
+        manifest = json.loads((out / "report.json").read_text())["manifest"]
+        manifest_path = tmp_path / "m.json"
+        manifest_path.write_text(json.dumps(manifest))
+        out2 = tmp_path / "out2"
+        assert main(["run", "--manifest", str(manifest_path), "--out", str(out2), flag, value]) == 0
+        manifest[section][key] = expected
+        manifest["out_dir"] = str(out2)
+        assert json.loads((out2 / "report.json").read_text())["manifest"] == manifest
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"search": {"anneal": {"t0": -1.0}}},
+            {"search": {"geodesic": {"surprise": 1}}},
+            {"dim": "x"},
+        ],
+        ids=["bad-anneal-value", "unknown-geodesic-key", "non-integer-dim"],
+    )
+    def test_bad_manifest_setting_exits_1(self, data_csv, tmp_path, capsys, settings):
+        manifest = {
+            "data": str(data_csv),
+            "benchmark": {"kind": "permutation", "seed": 7},
+            "out_dir": str(tmp_path / "o"),
+            **settings,
+        }
+        manifest_path = tmp_path / "m.json"
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["run", "--manifest", str(manifest_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_missing_required_flag(self, data_csv, tmp_path, capsys):
         code = main(["run", "--data", str(data_csv), "--out", str(tmp_path / "o")])
         assert code == 1
@@ -257,6 +306,24 @@ class TestSplitCommand:
         assert main(_run_args(data_csv, out)) == 0
         code = main(["split", "--report", str(out / "report.json"), "--solution", "9"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            "[]",
+            '{"solutions": []}',
+            '{"manifest": {"data": "d.csv", "benchmark": {"kind": "permutation", "seed": 7},'
+            ' "out_dir": "o"}}',
+        ],
+        ids=["invalid-json", "not-an-object", "no-manifest", "no-solutions"],
+    )
+    def test_not_a_report_exits_1(self, tmp_path, capsys, text):
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        assert main(["split", "--report", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_report_exits_2(self, tmp_path):
         assert main(["split", "--report", str(tmp_path / "nope.json")]) == 2

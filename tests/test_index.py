@@ -175,6 +175,17 @@ class TestRefine:
         v = bp.refine_index(f, x, y, IndexConfig(n_nodes_refine=333))
         assert v.n_nodes_used == 333
 
+    def test_explicit_node_count(self):
+        x, y = _instance()
+        f = ProjectionFrame(np.eye(2))
+        cfg = IndexConfig(n_nodes_refine=333)
+        v = bp.index(f, x, y, cfg, n_nodes=333)
+        assert v.n_nodes_used == 333
+        assert v.value == bp.refine_index(f, x, y, cfg).value
+        assert v.value != bp.index(f, x, y, cfg).value
+        with pytest.raises(ValueError):
+            bp.index(f, x, y, cfg, n_nodes=0)
+
     def test_refine_tightens(self):
         """Search and refined values approximate the same integral."""
         x, y = _instance()

@@ -1,4 +1,5 @@
 import json
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -12,7 +13,12 @@ from benchpursuit.errors import (
     PipelineError,
 )
 from benchpursuit.frames import DataMatrix, ProjectionFrame
-from benchpursuit.optimize import SearchConfig, SolutionProjection
+from benchpursuit.optimize import (
+    AnnealConfig,
+    GeodesicConfig,
+    SearchConfig,
+    SolutionProjection,
+)
 from benchpursuit.pipeline import (
     RunManifest,
     SolutionReport,
@@ -77,6 +83,42 @@ class TestRunManifest:
         manifest = _tiny_manifest(tmp_path, path, standardize=True)
         back = RunManifest.from_dict(manifest.to_dict())
         assert back.to_dict() == manifest.to_dict()
+
+    def test_every_config_field_roundtrips(self, tmp_path):
+        anneal = AnnealConfig(t0=2.0, cooling=0.9, step_scale0=0.25, step_decay=0.5)
+        geodesic = GeodesicConfig(max_angle=0.5, shrink=0.5, min_angle=0.01, n_probes=3)
+        index_cfg = IndexConfig(
+            k=2.5, n_nodes=7, n_nodes_refine=70, sobol_skip=4, median_tol=1e-9
+        )
+        search_cfg = SearchConfig(
+            optimizer="geodesic",
+            restarts=3,
+            max_iterations=5,
+            rng_seed=8,
+            anneal=anneal,
+            geodesic=geodesic,
+        )
+        for cfg in (index_cfg, search_cfg, anneal, geodesic):
+            for f in fields(cfg):
+                default = f.default if f.default is not MISSING else f.default_factory()
+                assert getattr(cfg, f.name) != default, f"{type(cfg).__name__}.{f.name}"
+        manifest = _tiny_manifest(
+            tmp_path,
+            "data.csv",
+            label_column="lab",
+            dim=3,
+            index_cfg=index_cfg,
+            search_cfg=search_cfg,
+            standardize=True,
+        )
+        manifest.save(tmp_path / "m.json")
+        assert RunManifest.load(tmp_path / "m.json") == manifest
+        raw = manifest.to_dict()
+        assert set(raw["index"]) == {f.name for f in fields(IndexConfig)}
+        assert set(raw["search"]) == {f.name for f in fields(SearchConfig)}
+        assert set(raw["search"]["anneal"]) == {f.name for f in fields(AnnealConfig)}
+        assert set(raw["search"]["geodesic"]) == {f.name for f in fields(GeodesicConfig)}
+        assert IndexConfig(**raw["index"]) == index_cfg
 
     def test_save_load_bytes_stable(self, tmp_path, rng):
         path, _ = _write_data(tmp_path, rng)
