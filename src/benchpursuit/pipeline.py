@@ -28,17 +28,34 @@ from .svgplot import emit_svg
 
 # Manifest JSON keys that differ from the RunManifest field names.
 _JSON_KEYS = {"data_path": "data", "index_cfg": "index", "search_cfg": "search"}
-# Coercions of the manifest's own scalar fields, keyed by their annotation
-# (a string, as annotations are postponed); nested configs validate theirs.
-_COERCE = {"str": str, "int": int, "bool": bool}
+# The JSON types a scalar config field takes, keyed by its annotation (a
+# string, as annotations are postponed). A float field also takes an integer;
+# a bool is never taken for a number, though Python counts it as an int.
+_JSON_TYPES = {
+    "str": ((str,), "a string"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "a boolean"),
+}
+
+
+def _check_scalar(cls, key: str, annotation: str, value) -> None:
+    """Reject a scalar setting whose JSON type does not match its field."""
+    kind = annotation.removesuffix(" | None")
+    if kind not in _JSON_TYPES or (value is None and kind != annotation):
+        return
+    types, name = _JSON_TYPES[kind]
+    if not isinstance(value, types) or (isinstance(value, bool) and kind != "bool"):
+        raise ConfigError(f"{cls.__name__} field '{key}' must be {name}, got {value!r}")
 
 
 def _build(cls, raw, keys: dict[str, str] | None = None):
     """Build the dataclass ``cls`` from the JSON object ``raw``.
 
-    The keys are the field names, renamed by ``keys``. Unknown keys and
-    missing required ones are rejected, and a field with a
-    ``default_factory`` is built from its own object the same way.
+    The keys are the field names, renamed by ``keys``. Unknown keys,
+    missing required ones and scalars of the wrong JSON type are rejected,
+    and a field with a ``default_factory`` is built from its own object the
+    same way.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"{cls.__name__} settings must be a JSON object, got {raw!r}")
@@ -50,7 +67,11 @@ def _build(cls, raw, keys: dict[str, str] | None = None):
     for key, f in by_key.items():
         if key in raw:
             nested = f.default_factory
-            kwargs[f.name] = raw[key] if nested is MISSING else _build(nested, raw[key])
+            if nested is MISSING:
+                _check_scalar(cls, key, f.type, raw[key])
+                kwargs[f.name] = raw[key]
+            else:
+                kwargs[f.name] = _build(nested, raw[key])
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{cls.__name__} needs '{key}'")
     return cls(**kwargs)
@@ -85,9 +106,6 @@ class RunManifest:
         try:
             manifest = _build(cls, raw, _JSON_KEYS)
             manifest.benchmark = BenchmarkSpec.from_dict(manifest.benchmark)
-            for f in fields(manifest):
-                if f.type in _COERCE:
-                    setattr(manifest, f.name, _COERCE[f.type](getattr(manifest, f.name)))
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad manifest settings: {err}") from err
         return manifest

@@ -84,25 +84,53 @@ def estimate_sdf_batch(sample, targets) -> np.ndarray:
 
     Returns the (n_targets, d) array of mean unit vectors from each target
     to the sample points; sample points exactly coincident with a target
-    contribute the zero vector. Evaluation is blocked to bound memory, which
-    does not change the per-target result.
+    contribute the zero vector.
+
+    Each coordinate is handled as its own contiguous (points, targets)
+    array: the differences point - target, their length
+    sqrt(dx*dx + dy*dy + ...) summed in coordinate order, each difference
+    divided by that length, and the quotients summed over the points
+    strictly in sample order before dividing by the sample size. That order
+    is the contract: a target's result is the same bits however the targets
+    are blocked (evaluation is blocked to bound memory) and equals a loop
+    that adds one point's unit vector at a time.
     """
     pts = _points(sample)
     tgt = _points(targets)
     m, d = pts.shape
     if tgt.shape[1] != d:
         raise DimensionMismatch(f"sample has d={d} but targets have d={tgt.shape[1]}")
+    cols = [pts[:, j, None] for j in range(d)]
     out = np.empty_like(tgt)
     block = max(1, _BLOCK_ELEMS // max(1, m * d))
     for start in range(0, tgt.shape[0], block):
         chunk = tgt[start : start + block]
-        diff = pts[None, :, :] - chunk[:, None, :]
-        dist = np.linalg.norm(diff, axis=2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            unit = diff / dist[:, :, None]
-        unit[dist == 0.0] = 0.0
-        out[start : start + block] = unit.sum(axis=1) / m
+        diffs = [cols[j] - chunk[:, j] for j in range(d)]
+        dist = diffs[0] * diffs[0]
+        for diff in diffs[1:]:
+            dist += diff * diff
+        np.sqrt(dist, out=dist)
+        coincident = dist == 0.0
+        any_coincident = coincident.any()
+        for j, diff in enumerate(diffs):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(diff, dist, out=diff)
+            if any_coincident:
+                diff[coincident] = 0.0
+            out[start : start + block, j] = _sum_in_order(diff) / m
     return out
+
+
+def _sum_in_order(a: np.ndarray) -> np.ndarray:
+    """Column sums of ``a``, adding its rows one after another.
+
+    numpy reduces over axis 0 row by row when rows hold two or more
+    elements, but a single column is summed pairwise, so that case runs a
+    running sum instead.
+    """
+    if a.shape[1] == 1 and a.shape[0] > 0:
+        return np.add.accumulate(a[:, 0])[-1:]
+    return a.sum(axis=0)
 
 
 def estimate_sdf(sample, t) -> np.ndarray:

@@ -150,6 +150,33 @@ class TestRunManifest:
         with pytest.raises(ConfigError):
             RunManifest.from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (None, "standardize", "false"),
+            (None, "standardize", 0),
+            (None, "dim", 2.7),
+            (None, "dim", "3"),
+            (None, "dim", True),
+            (None, "out_dir", 5),
+            ("index", "n_nodes", 8.5),
+            ("index", "k", True),
+            ("search", "restarts", True),
+        ],
+    )
+    def test_scalar_of_wrong_json_type_rejected(self, tmp_path, section, key, value):
+        """No coercion: each scalar setting must have its field's JSON type."""
+        raw = _tiny_manifest(tmp_path, "data.csv").to_dict()
+        (raw[section] if section else raw)[key] = value
+        with pytest.raises(ConfigError, match=key):
+            RunManifest.from_dict(raw)
+
+    def test_integer_taken_for_float_field(self, tmp_path):
+        raw = _tiny_manifest(tmp_path, "data.csv").to_dict()
+        raw["index"]["k"] = 2
+        raw["label_column"] = None
+        assert RunManifest.from_dict(raw).index_cfg.k == 2.0
+
     def test_load_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -12,7 +12,13 @@ from benchpursuit.spatial import (
     estimate_sdf_batch,
     spatial_median,
 )
-from oracles import brute_median_objective, median_objective, sdf_loop, weiszfeld_median
+from oracles import (
+    brute_median_objective,
+    median_objective,
+    sdf_loop,
+    sdf_loop_many,
+    weiszfeld_median,
+)
 
 SCALES = st.sampled_from([1e-6, 1.0, 1e6])
 
@@ -80,6 +86,26 @@ class TestEstimateSdf:
         monkeypatch.setattr(spatial, "_BLOCK_ELEMS", 64)
         tiny = estimate_sdf_batch(pts, nodes)
         assert np.array_equal(full, tiny)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("per_block", ["one", "two", "all"])
+    def test_bitwise_equal_to_point_loop(self, rng, monkeypatch, d, per_block):
+        """Points are summed strictly in sample order, whatever the blocking.
+
+        A pairwise or reordered sum over the points moves the last bits, so
+        exact equality with the oracle, which adds one point at a time, pins
+        the order. One sample point coincides with the first target.
+        """
+        import benchpursuit.spatial as spatial
+
+        pts = rng.standard_normal((300, d)) * 3.0
+        nodes = rng.standard_normal((23, d))
+        nodes[0] = pts[117]
+        targets = {"one": 1, "two": 2, "all": len(nodes)}[per_block]
+        monkeypatch.setattr(spatial, "_BLOCK_ELEMS", targets * len(pts) * d)
+        expected = sdf_loop_many(pts, nodes)
+        assert np.array_equal(estimate_sdf_batch(pts, nodes), expected)
+        assert np.array_equal(estimate_sdf(pts, nodes[0]), expected[0])
 
     def test_norm_bounded_by_one(self, rng):
         pts = rng.standard_normal((11, 2))
