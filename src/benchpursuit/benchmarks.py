@@ -9,12 +9,13 @@ structure to find.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, EmptyPartition, UnknownColumn
 from .frames import DataMatrix, subset_rows
+from .jsonconfig import build
 
 # name -> (modulus, multiplier); the recurrence is state' = multiplier * state mod modulus.
 GENERATORS: dict[str, tuple[int, int]] = {
@@ -151,13 +152,7 @@ class BenchmarkSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "BenchmarkSpec":
-        unknown = set(raw) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown benchmark fields: {sorted(unknown)}")
-        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in raw]
-        if missing:
-            raise ConfigError(f"benchmark spec needs {missing}")
-        spec = cls(**raw)
+        spec = build(cls, raw)
         spec.validate()
         return spec
 

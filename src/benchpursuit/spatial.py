@@ -8,6 +8,7 @@ fixed evaluation order, so identical inputs give bit-identical outputs.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,9 @@ from .errors import DimensionMismatch
 
 # Cap on elements per broadcast block in batch SDF evaluation.
 _BLOCK_ELEMS = 1 << 22
+
+# Per-thread scratch buffer of estimate_sdf_batch (see _scratch).
+_SCRATCH = threading.local()
 
 # Halvings of a Newton step that does not lower the objective before the
 # Weiszfeld step is taken instead.
@@ -94,6 +98,15 @@ def estimate_sdf_batch(sample, targets) -> np.ndarray:
     is the contract: a target's result is the same bits however the targets
     are blocked (evaluation is blocked to bound memory) and equals a loop
     that adds one point's unit vector at a time.
+
+    The per-block arrays (d differences, the lengths and one array of
+    squares) are views of a float64 scratch buffer kept per thread and
+    reused by later calls, so a warm call allocates no (points, targets)
+    array and touches no fresh memory. The buffer grows to the largest
+    block seen in its thread, (d + 2) x points x targets-per-block
+    elements, and is never shrunk. Every element a call reads was written
+    earlier in the same call, and the returned array is a new one that
+    never aliases the buffer.
     """
     pts = _points(sample)
     tgt = _points(targets)
@@ -105,20 +118,35 @@ def estimate_sdf_batch(sample, targets) -> np.ndarray:
     block = max(1, _BLOCK_ELEMS // max(1, m * d))
     for start in range(0, tgt.shape[0], block):
         chunk = tgt[start : start + block]
-        diffs = [cols[j] - chunk[:, j] for j in range(d)]
-        dist = diffs[0] * diffs[0]
+        work = _scratch((d + 2) * m * len(chunk)).reshape(d + 2, m, len(chunk))
+        diffs, dist, sq = work[:d], work[d], work[d + 1]
+        for j, diff in enumerate(diffs):
+            np.subtract(cols[j], chunk[:, j], out=diff)
+        np.multiply(diffs[0], diffs[0], out=dist)
         for diff in diffs[1:]:
-            dist += diff * diff
+            np.multiply(diff, diff, out=sq)
+            dist += sq
         np.sqrt(dist, out=dist)
-        coincident = dist == 0.0
-        any_coincident = coincident.any()
+        coincident = None if dist.all() else dist == 0.0
         for j, diff in enumerate(diffs):
             with np.errstate(divide="ignore", invalid="ignore"):
                 np.divide(diff, dist, out=diff)
-            if any_coincident:
+            if coincident is not None:
                 diff[coincident] = 0.0
             out[start : start + block, j] = _sum_in_order(diff) / m
     return out
+
+
+def _scratch(n: int) -> np.ndarray:
+    """The first ``n`` elements of this thread's float64 scratch buffer.
+
+    The buffer is replaced by a larger one when ``n`` exceeds it and is
+    never shrunk. Its contents are whatever the last call left there.
+    """
+    buf = getattr(_SCRATCH, "buf", None)
+    if buf is None or buf.size < n:
+        buf = _SCRATCH.buf = np.empty(n)
+    return buf[:n]
 
 
 def _sum_in_order(a: np.ndarray) -> np.ndarray:

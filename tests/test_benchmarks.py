@@ -169,6 +169,32 @@ class TestBenchmarkSpec:
         with pytest.raises(ConfigError):
             BenchmarkSpec.from_dict({"kind": "permutation", "seed": 0, "oops": 1})
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"kind": "permutation", "seed": True},
+            {"kind": "permutation", "seed": 7.5},
+            {"kind": "permutation", "seed": "7"},
+            {"kind": "lcg", "generator": "randu", "seed": 1, "n_rows": 2.5},
+            {"kind": "lcg", "generator": "randu", "seed": 1, "n_rows": False},
+            {"kind": "class_split", "label_column": "tissue", "level": 3},
+            {"kind": 1},
+        ],
+    )
+    def test_scalar_of_wrong_json_type_rejected(self, raw):
+        with pytest.raises(ConfigError, match="BenchmarkSpec field"):
+            BenchmarkSpec.from_dict(raw)
+
+    @pytest.mark.parametrize("raw", [{}, {"seed": 3}, ["permutation"], "lcg"])
+    def test_missing_kind_or_not_an_object(self, raw):
+        with pytest.raises(ConfigError):
+            BenchmarkSpec.from_dict(raw)
+
+    def test_null_optional_field_accepted(self):
+        spec = BenchmarkSpec.from_dict({"kind": "lcg", "generator": "randu", "seed": 1,
+                                        "n_rows": None})
+        assert spec.n_rows is None
+
     def test_missing_requirements(self):
         with pytest.raises(ConfigError):
             BenchmarkSpec(kind="external").validate()

@@ -168,6 +168,25 @@ class TestRunCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("seed", [True, 7.5, "7"])
+    def test_manifest_benchmark_scalar_not_coerced_exits_1(self, data_csv, tmp_path, capsys,
+                                                           seed):
+        manifest = {
+            "data": str(data_csv),
+            "label_column": "tissue",
+            "benchmark": {"kind": "permutation", "seed": seed},
+            "out_dir": str(tmp_path / "o"),
+            "index": {"n_nodes": 8, "n_nodes_refine": 16},
+            "search": {"restarts": 1, "max_iterations": 2},
+        }
+        manifest_path = tmp_path / "m.json"
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["run", "--manifest", str(manifest_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "seed" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("settings", [{"standardize": "false"}, {"dim": 2.7}])
     def test_manifest_scalar_not_coerced_exits_1(self, data_csv, tmp_path, capsys, settings):
         """A manifest that would run but for one scalar of the wrong JSON type."""

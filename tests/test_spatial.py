@@ -1,3 +1,7 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -121,6 +125,108 @@ class TestEstimateSdf:
         pts = np.zeros((4, 2))
         g = estimate_sdf(pts, [1e9, 0.0])
         assert np.allclose(g, [-1.0, 0.0], atol=1e-9)
+
+
+
+@pytest.fixture
+def fresh_scratch(monkeypatch):
+    """The spatial module with an empty per-thread SDF scratch buffer."""
+    import benchpursuit.spatial as spatial
+
+    monkeypatch.setattr(spatial, "_SCRATCH", threading.local())
+    return spatial
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestSdfScratch:
+    """estimate_sdf_batch reuses one scratch buffer per thread between calls."""
+
+    def test_poisoned_scratch_is_overwritten(self, rng, fresh_scratch):
+        """A call that leaves NaN and inf in the buffer changes no later result."""
+        pts = rng.standard_normal((50, 2))
+        nodes = rng.standard_normal((20, 2))
+        poison = pts.copy()
+        poison[3] = np.inf
+        with np.errstate(all="ignore"):
+            estimate_sdf_batch(poison, nodes)
+        assert not np.isfinite(fresh_scratch._SCRATCH.buf).all()
+        nodes[5] = pts[7]
+        assert _same_bits(estimate_sdf_batch(pts, nodes), sdf_loop_many(pts, nodes))
+
+    def test_size_sequence(self, rng, fresh_scratch, monkeypatch):
+        """Large then small calls, one-target blocks and d = 3 -> 1 -> 2."""
+        monkeypatch.setattr(fresh_scratch, "_BLOCK_ELEMS", 600)
+        cases = [(200, 7, 3), (9, 40, 3), (30, 3, 1), (700, 5, 1), (13, 11, 2), (301, 4, 2)]
+        for m, n, d in cases:
+            pts = rng.standard_normal((m, d))
+            nodes = rng.standard_normal((n, d))
+            nodes[0] = pts[m // 2]
+            assert _same_bits(estimate_sdf_batch(pts, nodes), sdf_loop_many(pts, nodes))
+            assert _same_bits(estimate_sdf(pts, nodes[1]), sdf_loop_many(pts, nodes[1:2])[0])
+
+    def test_buffer_bounded_by_one_block(self, rng, fresh_scratch, monkeypatch):
+        """The buffer holds the largest block's d + 2 arrays and never shrinks."""
+        monkeypatch.setattr(fresh_scratch, "_BLOCK_ELEMS", 1000)
+        largest = 0
+        for m, n, d in [(10, 3, 2), (40, 100, 2), (5, 2, 1), (400, 9, 3), (20, 20, 3)]:
+            estimate_sdf_batch(rng.standard_normal((m, d)), rng.standard_normal((n, d)))
+            block = max(1, 1000 // (m * d))
+            largest = max(largest, (d + 2) * m * min(block, n))
+            assert fresh_scratch._SCRATCH.buf.size == largest
+
+    def test_result_not_aliased(self, rng, fresh_scratch):
+        pts = rng.standard_normal((60, 3))
+        nodes = rng.standard_normal((25, 3))
+        first = estimate_sdf_batch(pts, nodes)
+        kept = first.copy()
+        estimate_sdf_batch(rng.standard_normal((60, 3)), rng.standard_normal((25, 3)))
+        assert not np.shares_memory(first, fresh_scratch._SCRATCH.buf)
+        assert _same_bits(first, kept)
+
+    def test_threads_do_not_share_scratch(self, rng):
+        """More threads than cores, switching often, each calling with its own shapes."""
+        jobs = []
+        for k in range(4):
+            d = 1 + k % 3
+            shapes = [(300 + 50 * k, 20 + 5 * k), (7 + k, 90), (400 - 60 * k, 1 + k)]
+            jobs.append([(rng.standard_normal((m, d)), rng.standard_normal((n, d)))
+                         for m, n in shapes * 20])
+        serial = [[estimate_sdf_batch(pts, nodes) for pts, nodes in job] for job in jobs]
+        results = [None] * len(jobs)
+
+        def work(k):
+            results[k] = [estimate_sdf_batch(pts, nodes) for pts, nodes in jobs[k]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(jobs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(results, serial):
+            assert got is not None
+            assert all(_same_bits(g, w) for g, w in zip(got, want))
+
+    def test_warm_call_allocates_no_block(self, rng):
+        """A warm call's peak allocation is below one (points, targets) array."""
+        pts = rng.standard_normal((600, 3))
+        nodes = rng.standard_normal((200, 3))
+        estimate_sdf_batch(pts, nodes)
+        tracemalloc.start()
+        try:
+            estimate_sdf_batch(pts, nodes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 600 * 200 * 8
 
 
 class TestSpatialMedian:
