@@ -115,7 +115,7 @@ class BenchmarkSpec:
     """Declarative description of how to build the benchmark sample.
 
     ``kind`` is one of "external", "permutation", "class_split", "lcg"; the
-    remaining fields apply per kind and are validated by :meth:`validate`.
+    remaining fields apply per kind and are checked on construction.
     """
 
     kind: str
@@ -126,7 +126,7 @@ class BenchmarkSpec:
     generator: str | None = None
     n_rows: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.kind == "external":
             if not self.path:
                 raise ConfigError("external benchmark needs a path")
@@ -152,9 +152,7 @@ class BenchmarkSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "BenchmarkSpec":
-        spec = build(cls, raw)
-        spec.validate()
-        return spec
+        return build(cls, raw)
 
 
 def build_benchmark(spec: BenchmarkSpec, x: DataMatrix) -> tuple[DataMatrix, DataMatrix]:
@@ -163,7 +161,6 @@ def build_benchmark(spec: BenchmarkSpec, x: DataMatrix) -> tuple[DataMatrix, Dat
     For a class split the data side is the selected level; for every other
     kind the data side is ``x`` unchanged.
     """
-    spec.validate()
     if spec.kind == "external":
         from .dataio import ingest_csv
 

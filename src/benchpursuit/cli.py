@@ -10,7 +10,6 @@ are still written).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import sys
 
@@ -62,16 +61,30 @@ def parse_benchmark(text: str) -> BenchmarkSpec:
     raise ConfigError(f"unknown benchmark kind '{kind}'")
 
 
-# The run flags that set one field of the manifest's index or search config:
-# (flag, type or choices, RunManifest section, field, help).
-_CONFIG_FLAGS = (
-    ("--k", float, "index_cfg", "k", "integration radius multiplier"),
-    ("--qmc-points", int, "index_cfg", "n_nodes", "search-phase node count"),
-    ("--qmc-refine", int, "index_cfg", "n_nodes_refine", "refinement node count"),
-    ("--restarts", int, "search_cfg", "restarts", "number of random restarts"),
-    ("--iterations", int, "search_cfg", "max_iterations", "optimizer iterations per restart"),
-    ("--optimizer", ("anneal", "geodesic"), "search_cfg", "optimizer", None),
-    ("--seed", int, "search_cfg", "rng_seed", "base seed; restart r uses seed + r"),
+# The run flags after --manifest, in help order, as (flag, the manifest JSON
+# key it sets, argparse options). A key is top-level or, as in "index.k", a
+# key of the "index" or "search" object. Each flag given is written into the
+# manifest's JSON object, which is then built and checked as a whole.
+_RUN_FLAGS = (
+    ("--data", "data", dict(help="CSV file with the observations")),
+    ("--label-column", "label_column", dict(help="column held out as row labels")),
+    ("--benchmark", "benchmark", dict(
+        type=lambda text: parse_benchmark(text).to_dict(),
+        help="file:PATH | permute:SEED | class:COL=LEVEL | lcg:NAME,SEED[,ROWS]",
+    )),
+    ("--dim", "dim", dict(type=int, help="projection dimension (default 2)")),
+    ("--k", "index.k", dict(type=float, help="integration radius multiplier")),
+    ("--qmc-points", "index.n_nodes", dict(type=int, help="search-phase node count")),
+    ("--qmc-refine", "index.n_nodes_refine", dict(type=int, help="refinement node count")),
+    ("--restarts", "search.restarts", dict(type=int, help="number of random restarts")),
+    ("--iterations", "search.max_iterations",
+     dict(type=int, help="optimizer iterations per restart")),
+    ("--optimizer", "search.optimizer", dict(choices=("anneal", "geodesic"))),
+    ("--seed", "search.rng_seed", dict(type=int, help="base seed; restart r uses seed + r")),
+    ("--standardize", "standardize", dict(
+        action="store_true", default=None, help="center and scale each column before searching"
+    )),
+    ("--out", "out_dir", dict(help="output directory")),
 )
 
 
@@ -81,25 +94,8 @@ def _build_parser() -> _Parser:
 
     p_run = sub.add_parser("run", help="search projections of data against a benchmark")
     p_run.add_argument("--manifest", help="JSON manifest; flags override its fields")
-    p_run.add_argument("--data", help="CSV file with the observations")
-    p_run.add_argument("--label-column", help="column held out as row labels")
-    p_run.add_argument(
-        "--benchmark",
-        help="file:PATH | permute:SEED | class:COL=LEVEL | lcg:NAME,SEED[,ROWS]",
-    )
-    p_run.add_argument("--dim", type=int, help="projection dimension (default 2)")
-    for flag, kind, _, _, help_text in _CONFIG_FLAGS:
-        if isinstance(kind, tuple):
-            p_run.add_argument(flag, choices=kind, help=help_text)
-        else:
-            p_run.add_argument(flag, type=kind, help=help_text)
-    p_run.add_argument(
-        "--standardize",
-        action="store_true",
-        default=None,
-        help="center and scale each column before searching",
-    )
-    p_run.add_argument("--out", help="output directory")
+    for flag, _, options in _RUN_FLAGS:
+        p_run.add_argument(flag, **options)
 
     p_filter = sub.add_parser("filter", help="write a row-filtered copy of a dataset")
     p_filter.add_argument("--data", required=True)
@@ -120,38 +116,18 @@ def _build_parser() -> _Parser:
 
 def _manifest_from_args(args) -> RunManifest:
     if args.manifest:
-        manifest = RunManifest.load(args.manifest)
-        # Flags override manifest fields.
-        if args.data is not None:
-            manifest.data_path = args.data
-        if args.benchmark is not None:
-            manifest.benchmark = parse_benchmark(args.benchmark)
-        if args.out is not None:
-            manifest.out_dir = args.out
+        raw = RunManifest.load(args.manifest).to_dict()
     else:
-        for flag, name in ((args.data, "--data"), (args.benchmark, "--benchmark"), (args.out, "--out")):
-            if flag is None:
-                raise ConfigError(f"{name} is required without --manifest")
-        manifest = RunManifest(
-            data_path=args.data,
-            benchmark=parse_benchmark(args.benchmark),
-            out_dir=args.out,
-        )
-    if args.label_column is not None:
-        manifest.label_column = args.label_column
-    if args.dim is not None:
-        manifest.dim = args.dim
-    if args.standardize is not None:
-        manifest.standardize = args.standardize
-    for flag, _, section, name, _ in _CONFIG_FLAGS:
+        for flag in ("--data", "--benchmark", "--out"):
+            if getattr(args, flag[2:]) is None:
+                raise ConfigError(f"{flag} is required without --manifest")
+        raw = {}
+    for flag, key, _ in _RUN_FLAGS:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
-            try:
-                cfg = dataclasses.replace(getattr(manifest, section), **{name: value})
-            except ValueError as err:
-                raise ConfigError(str(err)) from err
-            setattr(manifest, section, cfg)
-    return manifest
+            section, _, name = key.rpartition(".")
+            (raw.setdefault(section, {}) if section else raw)[name] = value
+    return RunManifest.from_dict(raw)
 
 
 def _cmd_run(args) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PursuitError
+from .errors import DimensionMismatch, PursuitError
 from .frames import ProjectionFrame, orthonormalize
 from .projection_index import IndexConfig, IndexValue, index
 
@@ -289,8 +289,11 @@ def run_search(
     frame and its proposal stream, so any subset of restarts reproduces
     identically. Results are sorted by descending search index with ties
     broken by restart id; near-duplicate spans are flagged. A restart that
-    fails numerically is logged and skipped.
+    fails numerically is logged and skipped; a ``d`` outside [1, p] raises
+    :class:`DimensionMismatch` before the first restart.
     """
+    if not 1 <= d <= x.p:
+        raise DimensionMismatch(f"d must be in [1, {x.p}] for {x.p} data columns, got {d}")
     idx_cfg = idx_cfg if idx_cfg is not None else IndexConfig()
     search_cfg = search_cfg if search_cfg is not None else SearchConfig()
 

@@ -11,15 +11,17 @@ import csv
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .benchmarks import BenchmarkSpec, build_benchmark
 from .dataio import fmt_float, ingest_csv, standardize_columns
-from .errors import ConfigError, DimensionMismatch, IndexOutOfRange, PipelineError
-from .frames import DataMatrix, ProjectedSample, ProjectionFrame, split_by_row_norm
+from .errors import (
+    ConfigError, DimensionMismatch, IndexOutOfRange, PipelineError, UnsupportedDimension,
+)
+from .frames import DataMatrix, ProjectedSample, ProjectionFrame, project, split_by_row_norm
 from .jsonconfig import build
 from .optimize import SearchConfig, SolutionProjection, run_search
 from .projection_index import IndexConfig, IndexValue, refine_index
@@ -31,7 +33,7 @@ from .svgplot import emit_svg
 _JSON_KEYS = {"data_path": "data", "index_cfg": "index", "search_cfg": "search"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunManifest:
     """Everything needed to reproduce a run."""
 
@@ -43,6 +45,10 @@ class RunManifest:
     index_cfg: IndexConfig = field(default_factory=IndexConfig)
     search_cfg: SearchConfig = field(default_factory=SearchConfig)
     standardize: bool = False
+
+    def __post_init__(self):
+        if not 1 <= self.dim <= 3:
+            raise UnsupportedDimension(f"dim must be 1, 2 or 3, got {self.dim}")
 
     def to_dict(self) -> dict:
         out = {}
@@ -59,10 +65,9 @@ class RunManifest:
     def from_dict(cls, raw: dict) -> "RunManifest":
         try:
             manifest = build(cls, raw, _JSON_KEYS)
-            manifest.benchmark = BenchmarkSpec.from_dict(manifest.benchmark)
+            return replace(manifest, benchmark=BenchmarkSpec.from_dict(manifest.benchmark))
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad manifest settings: {err}") from err
-        return manifest
 
     def save(self, path) -> None:
         Path(path).write_text(dumps_canonical(self.to_dict()), encoding="utf-8")
@@ -292,11 +297,6 @@ def run(manifest: RunManifest) -> SolutionReport:
     indistinguishable) is flagged degenerate; spatial-median non-convergence
     anywhere is flagged, not fatal.
     """
-    with _stage("validate"):
-        manifest.benchmark.validate()
-        if manifest.dim < 1:
-            raise ConfigError("dim must be at least 1")
-
     with _stage("ingest"):
         x0 = _load_input(manifest)
 
@@ -326,8 +326,8 @@ def run(manifest: RunManifest) -> SolutionReport:
                 "combined_svg": f"{stem}_combined.svg",
             }
             _write_frame_csv(out / entry["frame_csv"], sol.frame.matrix, data.column_names)
-            proj_data = ProjectedSample(data.values @ sol.frame.matrix, source="data")
-            proj_bench = ProjectedSample(bench.values @ sol.frame.matrix, source="benchmark")
+            proj_data = project(data, sol.frame, "data")
+            proj_bench = project(bench, sol.frame, "benchmark")
             _write_coords_csv(
                 out / entry["coords_csv"],
                 [
@@ -341,12 +341,11 @@ def run(manifest: RunManifest) -> SolutionReport:
                 f"solution {rank:02d} (restart {sol.restart_id})"
                 f" index {float(sol.search_index):.6g}"
             )
-            axis_names = [f"c{i + 1}" for i in range(manifest.dim)]
             (out / entry["data_svg"]).write_text(
-                emit_svg([proj_data], axis_names, title), encoding="utf-8"
+                emit_svg([proj_data], title=title), encoding="utf-8"
             )
             (out / entry["combined_svg"]).write_text(
-                emit_svg([proj_data, proj_bench], axis_names, title), encoding="utf-8"
+                emit_svg([proj_data, proj_bench], title=title), encoding="utf-8"
             )
             files.append(entry)
 
@@ -424,7 +423,6 @@ def split_and_project(
         out = Path(report.manifest.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         label_name = data.label_name or "label"
-        axis_names = [f"c{i + 1}" for i in range(frame.d)]
         for tag, rows, sub, sample in (
             ("lownorm", low, low_frame, low_sample),
             ("highnorm", high, high_frame, high_sample),
@@ -449,7 +447,7 @@ def split_and_project(
                 f" threshold={used_threshold:.6g}"
             )
             (out / files[f"{tag}_svg"]).write_text(
-                emit_svg([sample], axis_names, title), encoding="utf-8"
+                emit_svg([sample], title=title), encoding="utf-8"
             )
     return SplitProjection(
         threshold=used_threshold,

@@ -163,7 +163,7 @@ class TestBenchmarkSpec:
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
-            BenchmarkSpec(kind="bootstrap").validate()
+            BenchmarkSpec(kind="bootstrap")
 
     def test_unknown_field(self):
         with pytest.raises(ConfigError):
@@ -197,9 +197,9 @@ class TestBenchmarkSpec:
 
     def test_missing_requirements(self):
         with pytest.raises(ConfigError):
-            BenchmarkSpec(kind="external").validate()
+            BenchmarkSpec(kind="external")
         with pytest.raises(ConfigError):
-            BenchmarkSpec(kind="class_split", label_column="g").validate()
+            BenchmarkSpec(kind="class_split", label_column="g")
 
 
 class TestBuildBenchmark:

@@ -122,6 +122,13 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "flag, value, section, key, expected",
         [
+            ("--data", "data.csv", None, "data", "data.csv"),
+            ("--label-column", "v0", None, "label_column", "v0"),
+            ("--benchmark", "class:tissue=1", None, "benchmark",
+             {"kind": "class_split", "label_column": "tissue", "level": "1"}),
+            ("--dim", "1", None, "dim", 1),
+            ("--standardize", None, None, "standardize", True),
+            ("--out", "out3", None, "out_dir", "out3"),
             ("--k", "2.5", "index", "k", 2.5),
             ("--qmc-points", "11", "index", "n_nodes", 11),
             ("--qmc-refine", "33", "index", "n_nodes_refine", 33),
@@ -132,18 +139,23 @@ class TestRunCommand:
         ],
     )
     def test_config_flag_overrides_manifest(
-        self, data_csv, tmp_path, flag, value, section, key, expected
+        self, data_csv, tmp_path, monkeypatch, flag, value, section, key, expected
     ):
-        out = tmp_path / "out"
-        assert main(_run_args(data_csv, out)) == 0
-        manifest = json.loads((out / "report.json").read_text())["manifest"]
-        manifest_path = tmp_path / "m.json"
-        manifest_path.write_text(json.dumps(manifest))
-        out2 = tmp_path / "out2"
-        assert main(["run", "--manifest", str(manifest_path), "--out", str(out2), flag, value]) == 0
-        manifest[section][key] = expected
-        manifest["out_dir"] = str(out2)
-        assert json.loads((out2 / "report.json").read_text())["manifest"] == manifest
+        """Each run flag lands in its manifest key, and only there."""
+        monkeypatch.chdir(tmp_path)
+        # Numeric tissue codes, so that either tissue or v0 can be the label column.
+        x = ingest_csv(data_csv, label_column="tissue")
+        codes = tuple("1" if label == "t" else "0" for label in x.row_labels)
+        write_csv(DataMatrix(x.values, x.column_names, codes, "tissue"), "codes.csv")
+        assert main(_run_args("codes.csv", "out")) == 0
+        manifest = json.loads(Path("out", "report.json").read_text())["manifest"]
+        manifest["out_dir"] = "out2"
+        Path("m.json").write_text(json.dumps(manifest))
+        flag_args = [flag] if value is None else [flag, value]
+        assert main(["run", "--manifest", "m.json", *flag_args]) == 0
+        (manifest[section] if section else manifest)[key] = expected
+        report = json.loads(Path(manifest["out_dir"], "report.json").read_text())
+        assert report["manifest"] == manifest
 
     @pytest.mark.parametrize(
         "settings",
@@ -151,12 +163,14 @@ class TestRunCommand:
             {"search": {"anneal": {"t0": -1.0}}},
             {"search": {"geodesic": {"surprise": 1}}},
             {"dim": "x"},
+            {"dim": 4},
         ],
-        ids=["bad-anneal-value", "unknown-geodesic-key", "non-integer-dim"],
+        ids=["bad-anneal-value", "unknown-geodesic-key", "non-integer-dim", "dim-4"],
     )
     def test_bad_manifest_setting_exits_1(self, data_csv, tmp_path, capsys, settings):
         manifest = {
             "data": str(data_csv),
+            "label_column": "tissue",
             "benchmark": {"kind": "permutation", "seed": 7},
             "out_dir": str(tmp_path / "o"),
             **settings,
@@ -205,6 +219,24 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
+
+    def test_dim_4_flag_exits_1(self, data_csv, tmp_path, capsys):
+        assert main(_run_args(data_csv, tmp_path / "o", "--dim", "4")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "dim" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_dim_above_data_columns_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "two.csv"
+        write_csv(DataMatrix(np.arange(20.0).reshape(10, 2) % 7, ("a", "b")), data)
+        out = tmp_path / "o"
+        code = main(["run", "--data", str(data), "--benchmark", "permute:1", "--out", str(out),
+                     "--dim", "3", "--restarts", "2", "--iterations", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error in stage 'search'") and err.count("\n") == 1
+        assert not (out / "report.json").exists()
 
     def test_missing_required_flag(self, data_csv, tmp_path, capsys):
         code = main(["run", "--data", str(data_csv), "--out", str(tmp_path / "o")])

@@ -285,6 +285,12 @@ class TestRunSearch:
         for s in sub:
             assert np.array_equal(s.frame.matrix, full_by_id[s.restart_id].frame.matrix)
 
+    @pytest.mark.parametrize("d", [0, 4])
+    def test_dim_outside_data_columns_raises_before_any_restart(self, d):
+        x, y = self._data()
+        with pytest.raises(bp.DimensionMismatch, match="3 data columns"):
+            bp.run_search(x, y, d=d, search_cfg=SearchConfig(restarts=2, max_iterations=2))
+
     def test_search_uses_configured_node_count(self):
         x, y = self._data()
         sols = bp.run_search(

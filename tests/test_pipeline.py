@@ -11,6 +11,7 @@ from benchpursuit.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     PipelineError,
+    UnsupportedDimension,
 )
 from benchpursuit.frames import DataMatrix, ProjectionFrame
 from benchpursuit.optimize import (
@@ -176,6 +177,15 @@ class TestRunManifest:
         raw["index"]["k"] = 2
         raw["label_column"] = None
         assert RunManifest.from_dict(raw).index_cfg.k == 2.0
+
+    @pytest.mark.parametrize("dim", [0, 4])
+    def test_dim_outside_1_to_3_rejected(self, tmp_path, dim):
+        with pytest.raises(UnsupportedDimension, match="dim must be 1, 2 or 3"):
+            _tiny_manifest(tmp_path, "data.csv", dim=dim)
+        raw = _tiny_manifest(tmp_path, "data.csv").to_dict()
+        raw["dim"] = dim
+        with pytest.raises(UnsupportedDimension):
+            RunManifest.from_dict(raw)
 
     def test_load_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
