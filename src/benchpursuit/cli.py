@@ -16,7 +16,7 @@ import sys
 from .benchmarks import BenchmarkSpec
 from .dataio import filter_rows, ingest_csv, write_csv
 from .errors import ConfigError, DataError, PipelineError
-from .pipeline import RunManifest, SolutionReport, run, split_and_project
+from .pipeline import RunManifest, SolutionReport, relocate, run, split_and_project
 
 log = logging.getLogger(__name__)
 
@@ -173,7 +173,7 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    report = SolutionReport.load(args.report)
+    report = relocate(SolutionReport.load(args.report), args.report)
     result = split_and_project(report, args.solution, threshold=args.threshold)
     print(
         f"solution {args.solution}: threshold {result.threshold:.6g}, "

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     EmptySelection,
     IndexOutOfRange,
@@ -200,8 +201,8 @@ def split_by_row_norm(
     """
     if threshold is None:
         threshold = math.sqrt(frame.d / frame.p)
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
+    if not threshold >= 0:
+        raise ConfigError(f"threshold must be a nonnegative number, got {threshold!r}")
     norms = np.linalg.norm(frame.matrix, axis=1)
     high = np.flatnonzero(norms >= threshold)
     low = np.flatnonzero(norms < threshold)

@@ -7,13 +7,15 @@ same way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, fields
 
 from .errors import ConfigError
 
 # The JSON types a scalar config field takes, keyed by its annotation (a
-# string, as annotations are postponed). A float field also takes an integer;
-# a bool is never taken for a number, though Python counts it as an int.
+# string, as annotations are postponed). A float field also takes an integer,
+# but no infinity or NaN; a bool is never taken for a number, though Python
+# counts it as an int.
 _JSON_TYPES = {
     "str": ((str,), "a string"),
     "int": ((int,), "an integer"),
@@ -30,6 +32,8 @@ def _check_scalar(cls, key: str, annotation: str, value) -> None:
     types, name = _JSON_TYPES[kind]
     if not isinstance(value, types) or (isinstance(value, bool) and kind != "bool"):
         raise ConfigError(f"{cls.__name__} field '{key}' must be {name}, got {value!r}")
+    if kind == "float" and not -math.inf < value < math.inf:
+        raise ConfigError(f"{cls.__name__} field '{key}' must be finite, got {value!r}")
 
 
 def build(cls, raw, keys: dict[str, str] | None = None):

@@ -82,7 +82,10 @@ class RunManifest:
 
 
 def dumps_canonical(obj) -> str:
-    """Canonical JSON: sorted keys, two-space indent, floats at 17 digits."""
+    """Canonical JSON: sorted keys, two-space indent, floats at 17 digits.
+
+    A NaN or infinite float raises ``ValueError``: JSON has no such numbers.
+    """
     return _json_value(obj, 0) + "\n"
 
 
@@ -91,7 +94,9 @@ def _json_value(obj, depth: int) -> str:
     inner = "  " * (depth + 1)
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, float):
+    if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"JSON has no non-finite numbers, got {obj!r}")
         return fmt_float(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
@@ -113,8 +118,6 @@ def _json_value(obj, depth: int) -> str:
             return "[]"
         items = [f"{inner}{_json_value(v, depth + 1)}" for v in seq]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, np.floating):
-        return fmt_float(float(obj))
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -159,44 +162,73 @@ def _index_value_from_dict(raw: dict) -> IndexValue:
     return IndexValue(value=float(raw["value"]), n_nodes_used=int(raw["n_nodes"]), region=region)
 
 
+def _file_name(rank: int, kind: str) -> str:
+    """Name of an output file of the solution at ``rank``.
+
+    Kind ``frame_csv`` of rank 0 is ``solution_00_frame.csv``, and kind
+    ``highnorm_svg`` is ``solution_00_highnorm.svg``.
+    """
+    stem, ext = kind.rsplit("_", 1)
+    return f"solution_{rank:02d}_{stem}.{ext}"
+
+
+# The report.json keys computed from the manifest and the solutions.
+_DERIVED = ("degenerate", "nonconverged", "restarts_requested", "restarts_completed")
+
+
 @dataclass
 class SolutionReport:
-    """Run outcome: ordered solutions plus per-solution output files."""
+    """Run outcome: the manifest and its solutions, best first.
+
+    Everything else ``report.json`` holds is computed from these two.
+    """
 
     manifest: RunManifest
     solutions: list[SolutionProjection]
-    files: list[dict[str, str]]
-    degenerate: bool
-    nonconverged: bool
-    restarts_requested: int
-    restarts_completed: int
+
+    @property
+    def files(self) -> list[dict[str, str]]:
+        kinds = ("frame_csv", "coords_csv", "data_svg", "combined_svg")
+        return [{k: _file_name(rank, k) for k in kinds} for rank in range(len(self.solutions))]
+
+    @property
+    def degenerate(self) -> bool:
+        """Every solution scored exactly zero: data and benchmark look alike."""
+        return bool(self.solutions) and all(float(s.search_index) == 0.0 for s in self.solutions)
+
+    @property
+    def nonconverged(self) -> bool:
+        """A spatial median failed to converge for some index value."""
+        values = [v for s in self.solutions for v in (s.search_index, s.refined_index)]
+        return any(v is not None and not v.median_converged for v in values)
+
+    @property
+    def restarts_requested(self) -> int:
+        return self.manifest.search_cfg.restarts
+
+    @property
+    def restarts_completed(self) -> int:
+        return len(self.solutions)
 
     def to_dict(self) -> dict:
-        entries = []
-        for rank, (sol, files) in enumerate(zip(self.solutions, self.files)):
-            entries.append(
-                {
-                    "rank": rank,
-                    "restart_id": sol.restart_id,
-                    "seed": sol.seed,
-                    "iterations_used": sol.iterations_used,
-                    "duplicate_of": sol.duplicate_of,
-                    "search_index": _index_value_dict(sol.search_index),
-                    "refined_index": None
-                    if sol.refined_index is None
-                    else _index_value_dict(sol.refined_index),
-                    "frame": [[float(v) for v in row] for row in sol.frame.matrix],
-                    "files": files,
-                }
-            )
-        return {
-            "manifest": self.manifest.to_dict(),
-            "degenerate": self.degenerate,
-            "nonconverged": self.nonconverged,
-            "restarts_requested": self.restarts_requested,
-            "restarts_completed": self.restarts_completed,
-            "solutions": entries,
-        }
+        entries = [
+            {
+                "rank": rank,
+                "restart_id": sol.restart_id,
+                "seed": sol.seed,
+                "iterations_used": sol.iterations_used,
+                "duplicate_of": sol.duplicate_of,
+                "search_index": _index_value_dict(sol.search_index),
+                "refined_index": None
+                if sol.refined_index is None
+                else _index_value_dict(sol.refined_index),
+                "frame": [[float(v) for v in row] for row in sol.frame.matrix],
+                "files": files,
+            }
+            for rank, (sol, files) in enumerate(zip(self.solutions, self.files))
+        ]
+        derived = {key: getattr(self, key) for key in _DERIVED}
+        return {"manifest": self.manifest.to_dict(), **derived, "solutions": entries}
 
     def save(self, path) -> None:
         Path(path).write_text(dumps_canonical(self.to_dict()), encoding="utf-8")
@@ -211,11 +243,8 @@ class SolutionReport:
 
     @classmethod
     def _from_dict(cls, raw: dict) -> "SolutionReport":
-        manifest = RunManifest.from_dict(raw["manifest"])
-        solutions = []
-        files = []
-        for entry in raw["solutions"]:
-            sol = SolutionProjection(
+        solutions = [
+            SolutionProjection(
                 frame=ProjectionFrame(np.asarray(entry["frame"], dtype=float)),
                 search_index=_index_value_from_dict(entry["search_index"]),
                 refined_index=None
@@ -226,17 +255,33 @@ class SolutionReport:
                 seed=int(entry["seed"]),
                 duplicate_of=entry.get("duplicate_of"),
             )
-            solutions.append(sol)
-            files.append(dict(entry.get("files", {})))
-        return cls(
-            manifest=manifest,
-            solutions=solutions,
-            files=files,
-            degenerate=bool(raw["degenerate"]),
-            nonconverged=bool(raw["nonconverged"]),
-            restarts_requested=int(raw["restarts_requested"]),
-            restarts_completed=int(raw["restarts_completed"]),
-        )
+            for entry in raw["solutions"]
+        ]
+        report = cls(RunManifest.from_dict(raw["manifest"]), solutions)
+        stored = {key: raw[key] for key in _DERIVED}
+        stored["files"] = [entry["files"] for entry in raw["solutions"]]
+        for key, value in stored.items():
+            if value != getattr(report, key):
+                raise ValueError(f"stored {key} {value!r} disagrees with its solutions")
+        return report
+
+
+def relocate(report: SolutionReport, path) -> SolutionReport:
+    """``report``, read from ``path``, set to write beside that file.
+
+    A relative data path is read from the directory the run started in: the
+    report's directory less the trailing parts of a relative ``out_dir``. If
+    ``out_dir`` is absolute, climbs with ``..`` or does not end the report's
+    directory, the data path stays relative to the current directory.
+    """
+    here = Path(path).absolute().parent
+    manifest = report.manifest
+    out = Path(manifest.out_dir)
+    keep = len(here.parts) - len(out.parts)
+    data_path = manifest.data_path
+    if not out.is_absolute() and ".." not in out.parts and here.parts[keep:] == out.parts:
+        data_path = str(Path(*here.parts[:keep], data_path))
+    return replace(report, manifest=replace(manifest, data_path=data_path, out_dir=str(here)))
 
 
 @contextmanager
@@ -249,31 +294,28 @@ def _stage(name: str):
         raise PipelineError(name, err) from err
 
 
-def _write_coords_csv(path: Path, groups, d: int, label_name: str) -> None:
-    """One row per projected point, tagged by source and optional label."""
-    include_label = any(labels is not None for labels, _, _ in groups)
-    with path.open("w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = ([label_name] if include_label else []) + ["source"] + [
-            f"c{i + 1}" for i in range(d)
-        ]
-        writer.writerow(header)
-        for labels, source, points in groups:
-            for i, row in enumerate(points):
-                cells = [fmt_float(v) for v in row]
-                if include_label:
-                    cells = [labels[i] if labels is not None else ""] + [source] + cells
-                else:
-                    cells = [source] + cells
-                writer.writerow(cells)
+def _write_view(out: Path, files, matrix, variables, samples, label_name) -> None:
+    """Write a view's frame and coordinates CSVs into ``out``.
 
-
-def _write_frame_csv(path: Path, matrix: np.ndarray, variable_names) -> None:
-    with path.open("w", newline="\n", encoding="utf-8") as fh:
+    ``files["frame_csv"]`` gets a row per variable of the frame ``matrix``,
+    ``files["coords_csv"]`` a row per projected point. ``samples`` pairs each
+    :class:`ProjectedSample` with its row labels, or None. A coordinate row is
+    tagged by its sample's source, and by its label when any sample has labels.
+    """
+    axes = [f"c{i + 1}" for i in range(matrix.shape[1])]
+    with (out / files["frame_csv"]).open("w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["variable"] + [f"c{i + 1}" for i in range(matrix.shape[1])])
-        for name, row in zip(variable_names, matrix):
+        writer.writerow(["variable"] + axes)
+        for name, row in zip(variables, matrix):
             writer.writerow([name] + [fmt_float(v) for v in row])
+    labelled = any(labels is not None for labels, _ in samples)
+    with (out / files["coords_csv"]).open("w", newline="\n", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(([label_name] if labelled else []) + ["source"] + axes)
+        for labels, sample in samples:
+            for i, row in enumerate(sample.points):
+                tags = [labels[i] if labels is not None else ""] if labelled else []
+                writer.writerow(tags + [sample.source] + [fmt_float(v) for v in row])
 
 
 def _load_input(manifest: RunManifest) -> DataMatrix:
@@ -315,54 +357,23 @@ def run(manifest: RunManifest) -> SolutionReport:
     with _stage("report"):
         out = Path(manifest.out_dir)
         out.mkdir(parents=True, exist_ok=True)
+        report = SolutionReport(manifest, solutions)
         label_name = data.label_name or "label"
-        files: list[dict[str, str]] = []
-        for rank, sol in enumerate(solutions):
-            stem = f"solution_{rank:02d}"
-            entry = {
-                "frame_csv": f"{stem}_frame.csv",
-                "coords_csv": f"{stem}_coords.csv",
-                "data_svg": f"{stem}_data.svg",
-                "combined_svg": f"{stem}_combined.svg",
-            }
-            _write_frame_csv(out / entry["frame_csv"], sol.frame.matrix, data.column_names)
+        for rank, (sol, files) in enumerate(zip(solutions, report.files)):
             proj_data = project(data, sol.frame, "data")
             proj_bench = project(bench, sol.frame, "benchmark")
-            _write_coords_csv(
-                out / entry["coords_csv"],
-                [
-                    (data.row_labels, "data", proj_data.points),
-                    (bench.row_labels, "benchmark", proj_bench.points),
-                ],
-                manifest.dim,
-                label_name,
-            )
+            samples = [(data.row_labels, proj_data), (bench.row_labels, proj_bench)]
+            _write_view(out, files, sol.frame.matrix, data.column_names, samples, label_name)
             title = (
                 f"solution {rank:02d} (restart {sol.restart_id})"
                 f" index {float(sol.search_index):.6g}"
             )
-            (out / entry["data_svg"]).write_text(
+            (out / files["data_svg"]).write_text(
                 emit_svg([proj_data], title=title), encoding="utf-8"
             )
-            (out / entry["combined_svg"]).write_text(
+            (out / files["combined_svg"]).write_text(
                 emit_svg([proj_data, proj_bench], title=title), encoding="utf-8"
             )
-            files.append(entry)
-
-        report = SolutionReport(
-            manifest=manifest,
-            solutions=solutions,
-            files=files,
-            degenerate=bool(solutions)
-            and all(float(s.search_index) == 0.0 for s in solutions),
-            nonconverged=any(
-                not s.search_index.median_converged
-                or (s.refined_index is not None and not s.refined_index.median_converged)
-                for s in solutions
-            ),
-            restarts_requested=manifest.search_cfg.restarts,
-            restarts_completed=len(solutions),
-        )
         report.save(out / "report.json")
     return report
 
@@ -386,7 +397,6 @@ def split_and_project(
     solution_id: int,
     data: DataMatrix | None = None,
     threshold: float | None = None,
-    write: bool = True,
 ) -> SplitProjection:
     """Partition a solution frame's rows by norm and project through each part.
 
@@ -395,14 +405,13 @@ def split_and_project(
     matching column subsets of ``data`` without re-orthonormalization, so
     each picture shows what those variables alone contribute. ``data``
     defaults to the manifest's ingested (and, if configured, standardized)
-    dataset.
+    dataset. The views are written into the manifest's ``out_dir``.
     """
     if not 0 <= solution_id < len(report.solutions):
         raise IndexOutOfRange(
             f"solution {solution_id} outside [0, {len(report.solutions) - 1}]"
         )
-    sol = report.solutions[solution_id]
-    frame = sol.frame
+    frame = report.solutions[solution_id].frame
     if data is None:
         data = _load_input(report.manifest)
     if data.p != frame.p:
@@ -412,43 +421,26 @@ def split_and_project(
 
     def side(rows: np.ndarray) -> tuple[np.ndarray, ProjectedSample]:
         sub = frame.matrix[rows, :]
-        points = data.values[:, rows] @ sub
-        return sub, ProjectedSample(points, source="data")
+        return sub, ProjectedSample(data.values[:, rows] @ sub, source="data")
 
     low_frame, low_sample = side(low)
     high_frame, high_sample = side(high)
 
+    out = Path(report.manifest.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    label_name = data.label_name or "label"
     files: dict[str, str] = {}
-    if write:
-        out = Path(report.manifest.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        label_name = data.label_name or "label"
-        for tag, rows, sub, sample in (
-            ("lownorm", low, low_frame, low_sample),
-            ("highnorm", high, high_frame, high_sample),
-        ):
-            stem = f"solution_{solution_id:02d}_{tag}"
-            files[f"{tag}_frame_csv"] = f"{stem}_frame.csv"
-            files[f"{tag}_coords_csv"] = f"{stem}_coords.csv"
-            files[f"{tag}_svg"] = f"{stem}.svg"
-            _write_frame_csv(
-                out / files[f"{tag}_frame_csv"],
-                sub,
-                [data.column_names[r] for r in rows],
-            )
-            _write_coords_csv(
-                out / files[f"{tag}_coords_csv"],
-                [(data.row_labels, "data", sample.points)],
-                frame.d,
-                label_name,
-            )
-            title = (
-                f"solution {solution_id:02d} {tag} rows={len(rows)}"
-                f" threshold={used_threshold:.6g}"
-            )
-            (out / files[f"{tag}_svg"]).write_text(
-                emit_svg([sample], title=title), encoding="utf-8"
-            )
+    for tag, rows, sub, sample in (
+        ("lownorm", low, low_frame, low_sample),
+        ("highnorm", high, high_frame, high_sample),
+    ):
+        kinds = ("frame_csv", "coords_csv", "svg")
+        view = {k: _file_name(solution_id, f"{tag}_{k}") for k in kinds}
+        variables = [data.column_names[r] for r in rows]
+        _write_view(out, view, sub, variables, [(data.row_labels, sample)], label_name)
+        title = f"solution {solution_id:02d} {tag} rows={len(rows)} threshold={used_threshold:.6g}"
+        (out / view["svg"]).write_text(emit_svg([sample], title=title), encoding="utf-8")
+        files.update({f"{tag}_{k}": name for k, name in view.items()})
     return SplitProjection(
         threshold=used_threshold,
         low_rows=low,

@@ -156,7 +156,7 @@ def _panel(
     return "\n".join(parts)
 
 
-def emit_svg(samples, axis_names=None, title: str = "") -> str:
+def emit_svg(samples, title: str = "") -> str:
     """Render projected samples to an SVG document string.
 
     All samples must share the same dimension (1, 2 or 3); an empty sample
@@ -171,9 +171,7 @@ def emit_svg(samples, axis_names=None, title: str = "") -> str:
         raise DimensionMismatch("all samples must share the same dimension")
     if d not in (1, 2, 3):
         raise UnsupportedDimension(f"plots implemented for d in {{1, 2, 3}}, got d={d}")
-    names = list(axis_names) if axis_names is not None else [f"c{i + 1}" for i in range(d)]
-    if len(names) != d:
-        raise ValueError(f"expected {d} axis names, got {len(names)}")
+    names = [f"c{i + 1}" for i in range(d)]
 
     pairs = {1: [(0, None)], 2: [(0, 1)], 3: [(0, 1), (0, 2), (1, 2)]}[d]
     panel_w = _MARGIN_L + _PANEL + _MARGIN_R

@@ -1,8 +1,8 @@
 """Independent reference implementations used to check the package.
 
-Everything here is written loop-first from the defining formulas, on
-purpose: slow, obvious, and structurally different from the vectorized
-library code it is used to validate.
+Everything here loops over sample points and applies the defining formulas,
+on purpose: obvious, and structurally different from the vectorized library
+code it is used to validate.
 """
 
 from __future__ import annotations
@@ -103,16 +103,14 @@ def brute_median_objective(points: np.ndarray, cells: int = 2000) -> float:
     pts = np.asarray(points, dtype=float)
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
-    gx = np.linspace(lo[0], hi[0], cells)
-    gy = np.linspace(lo[1], hi[1], cells)
-    best = np.inf
-    for start in range(0, cells, 200):
-        grid = np.stack(
-            np.meshgrid(gx[start : start + 200], gy, indexing="ij"), axis=-1
-        ).reshape(-1, 2)
-        totals = np.linalg.norm(grid[:, None, :] - pts[None, :, :], axis=2).sum(axis=1)
-        best = min(best, float(totals.min()))
-    return best
+    gx = np.linspace(lo[0], hi[0], cells)[:, None]
+    gy = np.linspace(lo[1], hi[1], cells)[None, :]
+    totals = np.zeros((cells, cells))
+    for px, py in pts:
+        dx = gx - px
+        dy = gy - py
+        totals += np.sqrt(dx * dx + dy * dy)
+    return float(totals.min())
 
 
 def grid_index_disc(
@@ -135,23 +133,28 @@ def grid_index_disc(
     theta = (np.arange(n_theta) + 0.5) * (2.0 * np.pi / n_theta)
     d_rho = radius / n_r
     d_theta = 2.0 * np.pi / n_theta
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    total = 0.0
-    for start in range(0, n_r, 50):
-        rr = rho[start : start + 50]
-        nodes = np.stack(
-            [
-                (rr[:, None] * cos_t[None, :]).ravel(),
-                (rr[:, None] * sin_t[None, :]).ravel(),
-            ],
-            axis=1,
-        )
-        nodes += center
-        gap = np.linalg.norm(
-            sdf_loop_many(proj_x, nodes) - sdf_loop_many(proj_y, nodes), axis=1
-        )
-        total += float((gap.reshape(len(rr), n_theta) * rr[:, None]).sum()) * d_rho * d_theta
-    return total
+    # node coordinates on the full (n_r, n_theta) grid
+    nx = rho[:, None] * np.cos(theta)[None, :] + center[0]
+    ny = rho[:, None] * np.sin(theta)[None, :] + center[1]
+
+    def mean_unit_pull(points):
+        """Per coordinate, the mean unit vector from every node to the points."""
+        points = np.asarray(points, dtype=float)
+        ux = np.zeros_like(nx)
+        uy = np.zeros_like(ny)
+        for px, py in points:
+            dx = px - nx
+            dy = py - ny
+            r = np.sqrt(dx * dx + dy * dy)
+            ok = r > 0.0
+            ux[ok] += dx[ok] / r[ok]
+            uy[ok] += dy[ok] / r[ok]
+        return ux / len(points), uy / len(points)
+
+    sx, sy = mean_unit_pull(proj_x)
+    bx, by = mean_unit_pull(proj_y)
+    gap = np.sqrt((sx - bx) ** 2 + (sy - by) ** 2)
+    return float((gap * rho[:, None]).sum()) * d_rho * d_theta
 
 
 def lcg_closed_form(multiplier: int, modulus: int, seed: int, n: int) -> int:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import benchpursuit
+from benchpursuit import optimize
 from benchpursuit.benchmarks import lcg_triplets
 from benchpursuit.cli import main, parse_benchmark
 from benchpursuit.dataio import ingest_csv, write_csv
@@ -164,8 +165,11 @@ class TestRunCommand:
             {"search": {"geodesic": {"surprise": 1}}},
             {"dim": "x"},
             {"dim": 4},
+            {"index": {"k": float("inf")}},
+            {"search": {"anneal": {"t0": float("nan")}}},
         ],
-        ids=["bad-anneal-value", "unknown-geodesic-key", "non-integer-dim", "dim-4"],
+        ids=["bad-anneal-value", "unknown-geodesic-key", "non-integer-dim", "dim-4", "k-inf",
+             "t0-nan"],
     )
     def test_bad_manifest_setting_exits_1(self, data_csv, tmp_path, capsys, settings):
         manifest = {
@@ -281,6 +285,45 @@ class TestRunCommand:
         assert (out2 / "report.json").is_file()
         assert "median" in capsys.readouterr().err
 
+    def test_failed_restart_is_logged_and_counted(self, data_csv, tmp_path, capsys, caplog,
+                                                  monkeypatch):
+        real_search = optimize.anneal_search
+        calls = []
+
+        def second_call_fails(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ValueError("forced failure")
+            return real_search(*args)
+
+        monkeypatch.setattr(optimize, "anneal_search", second_call_fails)
+        out = tmp_path / "out"
+        assert main(_run_args(data_csv, out, "--restarts", "3")) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert (report["restarts_completed"], report["restarts_requested"]) == (2, 3)
+        assert sorted(s["restart_id"] for s in report["solutions"]) == [0, 2]
+        assert "(2/3 restarts)" in capsys.readouterr().out
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert "restart 1 (seed 4) failed: forced failure" in warnings[0].getMessage()
+
+    def test_class_benchmark_names_the_label_column(self, data_csv, tmp_path):
+        out = tmp_path / "out"
+        args = ["run", "--data", str(data_csv), "--benchmark", "class:tissue=t",
+                "--out", str(out), "--restarts", "1", "--iterations", "2",
+                "--qmc-points", "8", "--qmc-refine", "16"]
+        assert main(args) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["manifest"]["label_column"] is None
+        frame = (out / "solution_00_frame.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in frame[1:]] == ["v0", "v1", "v2"]
+        coords = (out / "solution_00_coords.csv").read_text().splitlines()
+        assert coords[0] == "tissue,source,c1,c2"
+        # the 10 "t" rows are the data side, the 10 "n" rows the benchmark
+        assert sorted(line.split(",")[:2] for line in coords[1:]) == (
+            [["n", "benchmark"]] * 10 + [["t", "data"]] * 10
+        )
+
     def test_dim_1_writes_report(self, tmp_path):
         data = tmp_path / "randu.csv"
         write_csv(lcg_triplets("randu", seed=1, n=400), data)
@@ -370,6 +413,35 @@ class TestSplitCommand:
         )
         assert code == 0
         assert "threshold 0.25" in capsys.readouterr().out
+
+    def test_relative_paths_from_another_directory(self, data_csv, tmp_path, monkeypatch):
+        """split reads the run's relative data path and writes beside the report."""
+        monkeypatch.chdir(tmp_path)
+        Path("lab.csv").write_bytes(data_csv.read_bytes())
+        assert main(_run_args("lab.csv", "runs/B")) == 0
+        before = set(os.listdir("runs/B"))
+        Path("sub").mkdir()
+        monkeypatch.chdir("sub")
+        assert main(["split", "--report", "../runs/B/report.json"]) == 0
+        assert sorted(set(os.listdir("../runs/B")) - before) == [
+            f"solution_00_{tag}{suffix}"
+            for tag in ("highnorm", "lownorm")
+            for suffix in (".svg", "_coords.csv", "_frame.csv")
+        ]
+        assert os.listdir(".") == []
+
+    @pytest.mark.parametrize("threshold", ["-1", "nan"])
+    def test_bad_threshold_exits_1(self, data_csv, tmp_path, capsys, threshold):
+        out = tmp_path / "out"
+        assert main(_run_args(data_csv, out)) == 0
+        before = sorted(os.listdir(out))
+        capsys.readouterr()
+        code = main(["split", "--report", str(out / "report.json"), "--threshold", threshold])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "threshold" in captured.err and captured.out == ""
+        assert sorted(os.listdir(out)) == before
 
     def test_solution_out_of_range_exits_2(self, data_csv, tmp_path):
         out = tmp_path / "out"

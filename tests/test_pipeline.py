@@ -24,6 +24,7 @@ from benchpursuit.pipeline import (
     RunManifest,
     SolutionReport,
     dumps_canonical,
+    relocate,
     run,
     split_and_project,
 )
@@ -76,6 +77,11 @@ class TestCanonicalJson:
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             dumps_canonical({"a": object()})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf, np.float32("nan")])
+    def test_rejects_non_finite_floats(self, value):
+        with pytest.raises(ValueError):
+            dumps_canonical({"a": [1.0, value]})
 
 
 class TestRunManifest:
@@ -238,6 +244,48 @@ class TestRun:
             tmp_path / "out" / "report.json"
         ).read_bytes()
 
+    @pytest.mark.parametrize("missing", [False, True], ids=["wrong", "missing"])
+    @pytest.mark.parametrize(
+        "key, wrong",
+        [
+            ("degenerate", True),
+            ("nonconverged", True),
+            ("restarts_requested", 3),
+            ("restarts_completed", 1),
+            ("files", {"frame_csv": "solution_00_frame.csv"}),
+        ],
+    )
+    def test_load_rejects_missing_or_wrong_derived_value(self, tmp_path, rng, key, wrong,
+                                                         missing):
+        path, _ = _write_data(tmp_path, rng)
+        run(_tiny_manifest(tmp_path, path))
+        raw = json.loads((tmp_path / "out" / "report.json").read_text())
+        holder = raw["solutions"][1] if key == "files" else raw
+        if missing:
+            del holder[key]
+        else:
+            holder[key] = wrong
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match="not a benchpursuit report"):
+            SolutionReport.load(bad)
+
+    @pytest.mark.parametrize(
+        "out_dir, start", [("runs/B", "."), ("./runs/B", "."), ("B", "runs"), (".", "runs/B")]
+    )
+    def test_relocate_reads_data_from_where_the_run_started(self, tmp_path, out_dir, start):
+        report = SolutionReport(_tiny_manifest(tmp_path, "d.csv", out_dir=out_dir), [])
+        moved = relocate(report, tmp_path / "runs" / "B" / "report.json")
+        assert moved.manifest.out_dir == str(tmp_path / "runs" / "B")
+        assert moved.manifest.data_path == str(tmp_path / start / "d.csv")
+
+    @pytest.mark.parametrize("out_dir", ["/elsewhere/B", "../B", "runs/C"])
+    def test_relocate_keeps_data_path_when_run_directory_unknown(self, tmp_path, out_dir):
+        report = SolutionReport(_tiny_manifest(tmp_path, "d.csv", out_dir=out_dir), [])
+        moved = relocate(report, tmp_path / "runs" / "B" / "report.json")
+        assert moved.manifest.out_dir == str(tmp_path / "runs" / "B")
+        assert moved.manifest.data_path == "d.csv"
+
     def test_rerun_is_deterministic(self, tmp_path, rng):
         path, _ = _write_data(tmp_path, rng)
         run(_tiny_manifest(tmp_path, path, out_dir=str(tmp_path / "a")))
@@ -294,21 +342,13 @@ class TestSplitAndProject:
             iterations_used=0,
             seed=3,
         )
-        report = SolutionReport(
-            manifest=manifest,
-            solutions=[sol],
-            files=[{}],
-            degenerate=False,
-            nonconverged=False,
-            restarts_requested=1,
-            restarts_completed=1,
-        )
+        report = SolutionReport(manifest=manifest, solutions=[sol])
         return report, x
 
     def test_hand_partition(self, tmp_path, rng):
         matrix = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         report, x = self._report_with_frame(tmp_path, rng, matrix)
-        split = split_and_project(report, 0, data=x, write=False)
+        split = split_and_project(report, 0, data=x)
         # default threshold sqrt(d/p) = sqrt(2/3); unit rows land high
         assert split.threshold == pytest.approx(np.sqrt(2.0 / 3.0))
         assert list(split.low_rows) == [2]
@@ -316,12 +356,11 @@ class TestSplitAndProject:
         assert np.array_equal(split.high_frame, matrix[[0, 1]])
         assert np.array_equal(split.high_sample.points, x.values[:, [0, 1]] @ matrix[[0, 1]])
         assert np.array_equal(split.low_sample.points, np.zeros((x.n, 2)))
-        assert split.files == {}
 
     def test_threshold_override(self, tmp_path, rng):
         matrix = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         report, x = self._report_with_frame(tmp_path, rng, matrix)
-        split = split_and_project(report, 0, data=x, threshold=0.0, write=False)
+        split = split_and_project(report, 0, data=x, threshold=0.0)
         # ties go high: every row norm >= 0
         assert list(split.high_rows) == [0, 1, 2]
         assert list(split.low_rows) == []
@@ -329,7 +368,7 @@ class TestSplitAndProject:
     def test_files_written(self, tmp_path, rng):
         matrix = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         report, x = self._report_with_frame(tmp_path, rng, matrix)
-        split = split_and_project(report, 0, data=x, write=True)
+        split = split_and_project(report, 0, data=x)
         out = tmp_path / "out"
         assert sorted(split.files) == [
             "highnorm_coords_csv",
@@ -348,19 +387,19 @@ class TestSplitAndProject:
         matrix = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         report, x = self._report_with_frame(tmp_path, rng, matrix)
         with pytest.raises(IndexOutOfRange):
-            split_and_project(report, 1, data=x, write=False)
+            split_and_project(report, 1, data=x)
 
     def test_dimension_mismatch(self, tmp_path, rng):
         matrix = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         report, _ = self._report_with_frame(tmp_path, rng, matrix)
         wrong = DataMatrix(rng.standard_normal((5, 4)), ("a", "b", "c", "d"))
         with pytest.raises(DimensionMismatch):
-            split_and_project(report, 0, data=wrong, write=False)
+            split_and_project(report, 0, data=wrong)
 
     def test_default_data_from_manifest(self, tmp_path, rng):
         matrix = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         report, x = self._report_with_frame(tmp_path, rng, matrix)
-        split = split_and_project(report, 0, write=False)
+        split = split_and_project(report, 0)
         assert np.array_equal(
             split.high_sample.points, x.values[:, [0, 1]] @ matrix[[0, 1]]
         )
