@@ -39,6 +39,10 @@ def ingest_csv(path, label_column: str | None = None) -> DataMatrix:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ParseError(f"{path}: empty file", line=1) from None
+        repeated = next((h for j, h in enumerate(header) if h in header[:j]), None)
+        if repeated is not None:
+            raise ParseError(f"{path}:1: column '{repeated}' appears more than once", line=1,
+                             column=repeated)
         label_idx: int | None = None
         if label_column is not None:
             if label_column not in header:

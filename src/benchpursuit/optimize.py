@@ -2,8 +2,8 @@
 
 Two strategies are provided: simulated annealing on perturbed-and-
 reorthonormalized frames, and a guided-tour style hill climb along
-geodesics towards random target frames. Both are deterministic given the
-seed and track the best frame seen.
+Grassmann geodesics towards random target spans. Both are deterministic
+given the seed and track the best frame seen.
 """
 
 from __future__ import annotations
@@ -138,66 +138,37 @@ def anneal_search(
     )
 
 
-def _rotation_power(rot: np.ndarray, t: float) -> np.ndarray:
-    """Fractional power of a special orthogonal matrix."""
-    d = rot.shape[0]
-    if d == 1:
-        return np.ones((1, 1))
-    if d == 2:
-        phi = math.atan2(rot[1, 0], rot[0, 0]) * t
-        c, s = math.cos(phi), math.sin(phi)
-        return np.array([[c, -s], [s, c]])
-    # General case: rot is normal with unit-circle eigenvalues in conjugate
-    # pairs, so the principal logarithm via a complex eigenbasis is real.
-    w, vecs = np.linalg.eig(rot)
-    powered = np.exp(t * np.log(w))
-    return np.ascontiguousarray(((vecs * powered) @ np.linalg.inv(vecs)).real)
-
-
 class _GeodesicPath:
-    """Interpolating path between two frames.
+    """Grassmann geodesic from the span of one frame toward another's.
 
-    The span rotates through the principal angles between the two column
-    spaces while the basis is carried by an in-span rotation from the start
-    alignment to the target's, so ``at(0)`` is the start frame and ``at(1)``
-    is exactly the target frame.
+    With F^T Z = V cos(tau) W^T (SVD; tau are the principal angles between
+    the spans), ``at(t)`` is (F V cos(t tau) + U sin(t tau)) V^T, where U
+    holds the components of Z W orthogonal to span(F), scaled to unit
+    length (Edelman, Arias & Smith 1998). ``at(0)`` is the start frame,
+    ``at(1)`` spans the target, and the principal angles between the start
+    and ``at(t)`` are t tau. The basis is carried along, never rotated
+    within the span, since the exact index depends on the span alone.
     """
 
     def __init__(self, start: ProjectionFrame, target: ProjectionFrame):
-        fa, fz = start.matrix, target.matrix
-        va, sig, vzt = np.linalg.svd(fa.T @ fz)
-        vz = vzt.T.copy()
-        cosines = np.clip(sig, -1.0, 1.0)
-        if np.linalg.det(va) * np.linalg.det(vz) < 0:
-            # Keep the in-span rotation inside SO(d).
-            vz[:, -1] = -vz[:, -1]
-            cosines[-1] = -cosines[-1]
-        self._ba = fa @ va
-        bz = fz @ vz
-        self._tau = np.arccos(cosines)
-        sin_tau = np.sin(self._tau)
-        comp = np.zeros_like(self._ba)
+        f, z = start.matrix, target.matrix
+        v, sig, wt = np.linalg.svd(f.T @ z)
+        self._fv = f @ v
+        self._vt = v.T
+        # Z W less its projection onto span(F): column norms are sin(tau).
+        # Taking tau from both sine and cosine keeps small angles exact,
+        # where arccos(sig) alone resolves only about 1e-8.
+        resid = z @ wt.T - self._fv * sig
+        sin_tau = np.linalg.norm(resid, axis=0)
+        self._tau = np.arctan2(sin_tau, sig)
+        comp = np.zeros_like(self._fv)
         tilted = sin_tau > 1e-12
-        comp[:, tilted] = (
-            bz[:, tilted] - self._ba[:, tilted] * np.cos(self._tau[tilted])
-        ) / sin_tau[tilted]
+        comp[:, tilted] = resid[:, tilted] / sin_tau[tilted]
         self._comp = comp
-        self._va = va
-        self._rot = va.T @ vz
         self.span_angle = float(np.linalg.norm(self._tau))
-        self.rotation_gap = float(np.linalg.norm(self._rot - np.eye(self._rot.shape[0])))
 
     def at(self, t: float) -> np.ndarray:
-        b = self._ba * np.cos(t * self._tau) + self._comp * np.sin(t * self._tau)
-        w = self._va @ _rotation_power(self._rot, t)
-        return b @ w.T
-
-
-def _as_frame(matrix: np.ndarray) -> ProjectionFrame:
-    try:
-        return ProjectionFrame(matrix)
-    except ValueError:
-        return orthonormalize(matrix)
+        return (self._fv * np.cos(t * self._tau) + self._comp * np.sin(t * self._tau)) @ self._vt
 
 
 def geodesic_search(
@@ -205,9 +176,9 @@ def geodesic_search(
 ) -> SolutionProjection:
     """Guided-tour style hill climb from ``start``, maximizing ``objective``.
 
-    Each iteration draws a random target frame and probes the geodesic
-    through the current frame and the target at geometrically spaced
-    parameters on both sides of the current frame, capped by the angle
+    Each iteration draws a random target frame and probes the Grassmann
+    geodesic through the current span and the target's span at geometrically
+    spaced parameters on both sides of the current frame, capped by the angle
     budget. Two-sided geometric probing makes the line search scale-free:
     some probe is always near the best step along the line, whichever side
     it falls on. The best probe replaces the current frame only if it
@@ -216,7 +187,8 @@ def geodesic_search(
     of bad target draws does not exhaust the budget while progress is still
     being made. Terminates when the angle drops below ``min_angle`` or the
     iteration budget is exhausted, so the result is never worse than the
-    start.
+    start. Only the span moves; at d = p every frame has the same span, so
+    the start frame is returned.
     """
     g = cfg.geodesic
     current, cur_val = start, objective(start)
@@ -227,17 +199,17 @@ def geodesic_search(
         iters += 1
         target = random_frame(start.p, start.d, rng)
         path = _GeodesicPath(current, target)
-        if path.span_angle < 1e-12 and path.rotation_gap < 1e-12:
+        if path.span_angle < 1e-12:
             angle *= g.shrink
             trace.append(float(cur_val))
             continue
-        t_max = min(1.0, angle / max(path.span_angle, 1e-12))
+        t_max = min(1.0, angle / path.span_angle)
         best_probe, best_probe_val = None, -math.inf
         for j in range(g.n_probes):
             t = t_max * g.shrink ** (j // 2)
             if j % 2:
                 t = -t
-            cand = _as_frame(path.at(t))
+            cand = orthonormalize(path.at(t))
             cand_val = objective(cand)
             if float(cand_val) > float(best_probe_val):
                 best_probe, best_probe_val = cand, cand_val
@@ -261,17 +233,21 @@ def largest_principal_angle(a: ProjectionFrame, b: ProjectionFrame) -> float:
     return float(np.arccos(np.clip(sig.min(), -1.0, 1.0)))
 
 
-def flag_duplicates(solutions: list[SolutionProjection], threshold: float = 0.05) -> None:
+# Largest principal angle (radians) under which two solutions share a span.
+DUPLICATE_ANGLE = 0.05
+
+
+def flag_duplicates(solutions: list[SolutionProjection]) -> None:
     """Mark solutions whose span nearly repeats an earlier (better) one.
 
     Walks the list in order and sets ``duplicate_of`` to the restart id of
-    the first earlier solution within ``threshold`` radians of largest
+    the first earlier solution within ``DUPLICATE_ANGLE`` radians of largest
     principal angle. Duplicates are flagged, never removed.
     """
     for i, sol in enumerate(solutions):
         sol.duplicate_of = None
         for earlier in solutions[:i]:
-            if largest_principal_angle(sol.frame, earlier.frame) < threshold:
+            if largest_principal_angle(sol.frame, earlier.frame) < DUPLICATE_ANGLE:
                 sol.duplicate_of = earlier.restart_id
                 break
 

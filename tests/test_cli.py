@@ -471,6 +471,24 @@ class TestSplitCommand:
         assert main(["split", "--report", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "--benchmark", "permute:1", "--out", "o"],
+        ["filter", "--index-file", "idx.txt", "--out", "f.csv"],
+    ],
+    ids=["run", "filter"],
+)
+def test_repeated_column_name_exits_2(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    Path("dup.csv").write_text("a,a,b\n1,2,3\n4,5,6\n")
+    Path("idx.txt").write_text("0\n")
+    assert main([*args, "--data", "dup.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error") and err.count("\n") == 1
+    assert "dup.csv" in err and "'a'" in err
+
+
 def test_module_entry_help():
     # The child finds the package where this process found it, installed or not.
     src = str(Path(benchpursuit.__file__).resolve().parents[1])
