@@ -49,6 +49,8 @@ def ingest_csv(path, label_column: str | None = None) -> DataMatrix:
                 raise MissingColumn(f"no column '{label_column}' in {path}")
             label_idx = header.index(label_column)
         numeric_idx = [j for j in range(len(header)) if j != label_idx]
+        if not numeric_idx:
+            raise ParseError(f"{path}:1: no numeric column", line=1)
         names = tuple(header[j] for j in numeric_idx)
 
         rows: list[list[float]] = []

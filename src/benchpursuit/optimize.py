@@ -228,9 +228,12 @@ def geodesic_search(
 
 
 def largest_principal_angle(a: ProjectionFrame, b: ProjectionFrame) -> float:
-    """Largest principal angle between the column spaces of two frames."""
-    sig = np.linalg.svd(a.matrix.T @ b.matrix, compute_uv=False)
-    return float(np.arccos(np.clip(sig.min(), -1.0, 1.0)))
+    """Largest principal angle between the column spaces of two frames.
+
+    The angles are those of the geodesic between the spans, taken from both
+    their sines and cosines, so equal spans read zero to rounding.
+    """
+    return float(_GeodesicPath(a, b)._tau.max())
 
 
 # Largest principal angle (radians) under which two solutions share a span.

@@ -8,6 +8,7 @@ fixed evaluation order, so identical inputs give bit-identical outputs.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -15,8 +16,9 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-# Cap on elements per broadcast block in batch SDF evaluation.
-_BLOCK_ELEMS = 1 << 22
+# Cap on elements per (points, targets) tile in batch SDF evaluation: the
+# d + 2 arrays of one tile (2-2.6 MB for d = 2-3) fit a per-core L2 cache.
+_BLOCK_ELEMS = 1 << 16
 
 # Per-thread scratch buffer of estimate_sdf_batch (see _scratch).
 _SCRATCH = threading.local()
@@ -95,18 +97,22 @@ def estimate_sdf_batch(sample, targets) -> np.ndarray:
     sqrt(dx*dx + dy*dy + ...) summed in coordinate order, each difference
     divided by that length, and the quotients summed over the points
     strictly in sample order before dividing by the sample size. That order
-    is the contract: a target's result is the same bits however the targets
-    are blocked (evaluation is blocked to bound memory) and equals a loop
-    that adds one point's unit vector at a time.
+    is the contract: a target's result is the same bits however the work is
+    tiled and equals a loop that adds one point's unit vector at a time,
+    starting from zero.
 
-    The per-block arrays (d differences, the lengths and one array of
-    squares) are views of a float64 scratch buffer kept per thread and
-    reused by later calls, so a warm call allocates no (points, targets)
-    array and touches no fresh memory. The buffer grows to the largest
-    block seen in its thread, (d + 2) x points x targets-per-block
-    elements, and is never shrunk. Every element a call reads was written
-    earlier in the same call, and the returned array is a new one that
-    never aliases the buffer.
+    The work is tiled so that it stays in cache: a tile holds at most
+    isqrt(_BLOCK_ELEMS) targets and _BLOCK_ELEMS // targets points. Each
+    target's running sum is carried in row 0 of the next point tile, so the
+    sum over all points is still one running sum in sample order.
+
+    The per-tile arrays (d quotients, the lengths and one array of squares,
+    each with the carry row) are views of a float64 scratch buffer kept per
+    thread and reused by later calls. The buffer grows to the largest tile
+    seen in its thread, (d + 2) x (rows + 1) x targets elements, whatever
+    the sample size, and is never shrunk. Every element a call reads was
+    written earlier in the same call, and the returned array is a new one
+    that never aliases the buffer.
     """
     pts = _points(sample)
     tgt = _points(targets)
@@ -115,25 +121,33 @@ def estimate_sdf_batch(sample, targets) -> np.ndarray:
         raise DimensionMismatch(f"sample has d={d} but targets have d={tgt.shape[1]}")
     cols = [pts[:, j, None] for j in range(d)]
     out = np.empty_like(tgt)
-    block = max(1, _BLOCK_ELEMS // max(1, m * d))
-    for start in range(0, tgt.shape[0], block):
-        chunk = tgt[start : start + block]
-        work = _scratch((d + 2) * m * len(chunk)).reshape(d + 2, m, len(chunk))
-        diffs, dist, sq = work[:d], work[d], work[d + 1]
-        for j, diff in enumerate(diffs):
-            np.subtract(cols[j], chunk[:, j], out=diff)
-        np.multiply(diffs[0], diffs[0], out=dist)
-        for diff in diffs[1:]:
-            np.multiply(diff, diff, out=sq)
-            dist += sq
-        np.sqrt(dist, out=dist)
-        coincident = None if dist.all() else dist == 0.0
-        for j, diff in enumerate(diffs):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(diff, dist, out=diff)
-            if coincident is not None:
-                diff[coincident] = 0.0
-            out[start : start + block, j] = _sum_in_order(diff) / m
+    width = max(1, min(len(tgt), math.isqrt(_BLOCK_ELEMS)))
+    height = max(1, min(m, _BLOCK_ELEMS // width))
+    for start in range(0, len(tgt), width):
+        chunk = tgt[start : start + width]
+        n = len(chunk)
+        work = _scratch((d + 2) * (height + 1) * n).reshape(d + 2, height + 1, n)
+        sums, dist, sq = work[:d], work[d, 1:], work[d + 1, 1:]
+        sums[:, 0] = 0.0
+        for lo in range(0, m, height):
+            rows = min(height, m - lo)
+            diffs = sums[:, 1 : rows + 1]
+            for j, diff in enumerate(diffs):
+                np.subtract(cols[j][lo : lo + rows], chunk[:, j], out=diff)
+            length = dist[:rows]
+            np.multiply(diffs[0], diffs[0], out=length)
+            for diff in diffs[1:]:
+                np.multiply(diff, diff, out=sq[:rows])
+                length += sq[:rows]
+            np.sqrt(length, out=length)
+            coincident = None if length.all() else length == 0.0
+            for j, diff in enumerate(diffs):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    np.divide(diff, length, out=diff)
+                if coincident is not None:
+                    diff[coincident] = 0.0
+                sums[j, 0] = _sum_in_order(sums[j, : rows + 1])
+        out[start : start + width] = sums[:, 0].T / m
     return out
 
 
@@ -167,27 +181,9 @@ def estimate_sdf(sample, t) -> np.ndarray:
     return estimate_sdf_batch(sample, t[None, :])[0]
 
 
-def _norms(diff: np.ndarray) -> np.ndarray:
-    return np.sqrt((diff * diff).sum(axis=1))
-
-
-def _backtrack(diff: np.ndarray, dist: np.ndarray, step: np.ndarray):
-    """The first of ``step``, ``step / 2``, ... that lowers the objective.
-
-    ``diff`` and ``dist`` are the offsets from the iterate to the points and
-    their lengths. Returns the step with the offsets and lengths after it,
-    or None after ``_HALVINGS`` halvings.
-    """
-    for _ in range(_HALVINGS + 1):
-        new_diff = diff - step
-        new_dist = _norms(new_diff)
-        # The objective change summed from per-point differences, using
-        # |a - s|^2 - |a|^2 = s.(s - 2a): near the minimum the objective
-        # itself no longer resolves the decrease a Newton step makes.
-        if (((step - 2.0 * diff) @ step) / (new_dist + dist)).sum() < 0.0:
-            return step, new_diff, new_dist
-        step = 0.5 * step
-    return None
+def _lengths(offsets: np.ndarray) -> np.ndarray:
+    """Column lengths of a (d, m) array of offsets."""
+    return np.sqrt((offsets * offsets).sum(axis=0))
 
 
 def spatial_median(sample, tol: float = 1e-8, max_iter: int = 1000) -> SpatialMedianResult:
@@ -214,6 +210,10 @@ def spatial_median(sample, tol: float = 1e-8, max_iter: int = 1000) -> SpatialMe
     scale. Convergence is declared on the norm of the objective subgradient,
     the pull net of the coincident multiplicity.
 
+    The offsets from the iterate are held as one (d, m) array, so each pass
+    over the points is d contiguous rows and the pull and Hessian are
+    matrix products.
+
     A failure to converge within ``max_iter`` steps is reported through the
     ``converged`` flag, not an exception.
     """
@@ -228,30 +228,34 @@ def spatial_median(sample, tol: float = 1e-8, max_iter: int = 1000) -> SpatialMe
     if d == 1:
         return SpatialMedianResult(np.median(pts, axis=0), 0.0, 0, True)
 
+    cols = np.ascontiguousarray(pts.T)
     snap = 1e-13 * float(np.abs(pts).max())
     t = np.median(pts, axis=0)
-    diff = pts - t
-    dist = _norms(diff)
+    diff = cols - t[:, None]
+    dist = _lengths(diff)
     reach = 0.0  # length of the longest step proposed last iteration
     gnorm = float("inf")
     for it in range(max_iter + 1):
-        coincident = dist <= snap
-        eta = int(coincident.sum())
+        nearest = int(np.argmin(dist))
+        coincident = dist <= snap if dist[nearest] <= snap else None
+        eta = 0 if coincident is None else int(coincident.sum())
         if eta == m:
             return SpatialMedianResult(pts.mean(axis=0), 0.0, it, True)
-        nearest = int(np.argmin(dist))
         if eta or dist[nearest] <= reach:
-            anchor = pts[nearest]
-            cluster = _norms(pts - anchor) <= snap
-            away = pts[~cluster] - anchor
-            r_c = float(np.linalg.norm((away / _norms(away)[:, None]).sum(axis=0)))
+            away = cols - cols[:, nearest, None]
+            lengths = _lengths(away)
+            cluster = lengths <= snap
+            outside = ~cluster
+            r_c = float(np.linalg.norm(away[:, outside] @ (1.0 / lengths[outside])))
             if r_c - cluster.sum() <= tol:
                 loc = pts[cluster].mean(axis=0)
                 return SpatialMedianResult(loc, max(r_c - cluster.sum(), 0.0), it, True)
-        inv = np.zeros(m)
-        inv[~coincident] = 1.0 / dist[~coincident]
-        units = diff * inv[:, None]
-        pull = units.sum(axis=0)
+        if eta:
+            inv = np.zeros(m)
+            inv[~coincident] = 1.0 / dist[~coincident]
+        else:
+            inv = 1.0 / dist
+        pull = diff @ inv
         r = float(np.linalg.norm(pull))
         gnorm = max(r - eta, 0.0) if eta else r
         if gnorm <= tol:
@@ -261,24 +265,37 @@ def spatial_median(sample, tol: float = 1e-8, max_iter: int = 1000) -> SpatialMe
             break
         reach = 0.0
         if not eta:
-            hess = inv.sum() * np.eye(d) - (units * inv[:, None]).T @ units
+            hess = inv.sum() * np.eye(d) - (diff * inv**3) @ diff.T
             w, v = np.linalg.eigh(hess)
             if w[0] > 1e-8 * w[-1]:
                 step = v @ ((v.T @ pull) / w)
                 reach = float(np.linalg.norm(step))
-                kept = _backtrack(diff, dist, step)
-                if kept is not None:
-                    step, diff, dist = kept
-                    t = t + step
+                for _ in range(_HALVINGS + 1):
+                    # Offsets are taken from the rounded iterate, never
+                    # updated by the step, so they cannot drift from it.
+                    new_t = t + step
+                    new_diff = cols - new_t[:, None]
+                    new_dist = _lengths(new_diff)
+                    # The objective change summed from per-point differences,
+                    # using |a - s|^2 - |a|^2 = s.s - 2 s.a: near the minimum
+                    # the objective itself no longer resolves the decrease a
+                    # Newton step makes.
+                    if ((step @ step - 2.0 * (step @ diff)) / (new_dist + dist)).sum() < 0.0:
+                        break
+                    step = 0.5 * step
+                else:
+                    new_t = None
+                if new_t is not None:
+                    t, diff, dist = new_t, new_diff, new_dist
                     continue
-        target = (pts * inv[:, None]).sum(axis=0) / inv.sum()
+        target = (cols @ inv) / inv.sum()
         if eta:
             beta = min(1.0, eta / r)
             target = (1.0 - beta) * target + beta * t
         reach = max(reach, float(np.linalg.norm(target - t)))
         t = target
-        diff = pts - t
-        dist = _norms(diff)
+        diff = cols - t[:, None]
+        dist = _lengths(diff)
     return SpatialMedianResult(t, gnorm, max_iter, False)
 
 
@@ -296,8 +313,10 @@ def combined_region(proj_x, proj_y, k: float, tol: float = 1e-8) -> RegionSpec:
 
     The center is the spatial median of the pooled points (union with
     multiplicity) and the base radius the distance to the farthest pooled
-    point. Pooled points are sorted lexicographically before estimation so
-    the result is exactly symmetric in the two arguments.
+    point. The two samples are stacked in a canonical order, the one with
+    fewer rows first and, for equal sizes, the one with the smaller bytes
+    first, so both argument orders pool the very same array and the result
+    is exactly symmetric in the two arguments.
     """
     px = _points(proj_x)
     py = _points(proj_y)
@@ -305,10 +324,9 @@ def combined_region(proj_x, proj_y, k: float, tol: float = 1e-8) -> RegionSpec:
         raise DimensionMismatch(
             f"projected samples have d={px.shape[1]} and d={py.shape[1]}"
         )
+    if (len(py), py.tobytes()) < (len(px), px.tobytes()):
+        px, py = py, px
     pooled = np.vstack([px, py])
-    d = pooled.shape[1]
-    order = np.lexsort(tuple(pooled[:, j] for j in range(d - 1, -1, -1)))
-    pooled = pooled[order]
     med = spatial_median(pooled, tol=tol)
     radius = data_radius(pooled, med.location)
     return RegionSpec(center=med.location, base_radius=radius, multiplier=k, median=med)

@@ -489,6 +489,24 @@ def test_repeated_column_name_exits_2(tmp_path, monkeypatch, capsys, args):
     assert "dup.csv" in err and "'a'" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "--benchmark", "permute:1", "--out", "o"],
+        ["filter", "--index-file", "idx.txt", "--out", "f.csv"],
+    ],
+    ids=["run", "filter"],
+)
+def test_no_numeric_column_exits_2(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    Path("onlylab.csv").write_text("class\nA\nB\n")
+    Path("idx.txt").write_text("0\n")
+    assert main([*args, "--data", "onlylab.csv", "--label-column", "class"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error") and err.count("\n") == 1
+    assert "onlylab.csv" in err
+
+
 def test_module_entry_help():
     # The child finds the package where this process found it, installed or not.
     src = str(Path(benchpursuit.__file__).resolve().parents[1])

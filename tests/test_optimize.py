@@ -11,6 +11,7 @@ from benchpursuit import (
     SearchConfig,
 )
 from benchpursuit.optimize import _GeodesicPath, largest_principal_angle, flag_duplicates
+from oracles import random_orthogonal
 
 
 def _frobenius_objective(target):
@@ -255,6 +256,15 @@ class TestPrincipalAngle:
         a = ProjectionFrame(np.eye(4)[:, :2])
         b = ProjectionFrame(np.eye(4)[:, 2:])
         assert largest_principal_angle(a, b) == pytest.approx(np.pi / 2)
+
+    def test_same_span_pairs_read_zero(self):
+        """Equal spans read zero to rounding; arccos of the smallest singular
+        value alone read >= 1e-9 on most such pairs."""
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            a = bp.random_frame(5, 2, rng)
+            b = ProjectionFrame(a.matrix @ random_orthogonal(2, rng))
+            assert largest_principal_angle(a, b) < 1e-12
 
     def test_rotation_within_span_is_zero(self):
         a = ProjectionFrame(np.eye(4)[:, :2])

@@ -111,6 +111,18 @@ class TestEstimateSdf:
         assert np.array_equal(estimate_sdf_batch(pts, nodes), expected)
         assert np.array_equal(estimate_sdf(pts, nodes[0]), expected[0])
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_one_target_tiles_carry_sums(self, rng, monkeypatch, d):
+        """One target per tile and three points per tile, so each sum is
+        carried through 34 row tiles; a coincident point sits in a late one."""
+        import benchpursuit.spatial as spatial
+
+        pts = rng.standard_normal((100, d))
+        nodes = rng.standard_normal((7, d))
+        nodes[2] = pts[85]
+        monkeypatch.setattr(spatial, "_BLOCK_ELEMS", 3)
+        assert _same_bits(estimate_sdf_batch(pts, nodes), sdf_loop_many(pts, nodes))
+
     def test_norm_bounded_by_one(self, rng):
         pts = rng.standard_normal((11, 2))
         g = estimate_sdf_batch(pts, rng.standard_normal((50, 2)))
@@ -168,14 +180,29 @@ class TestSdfScratch:
             assert _same_bits(estimate_sdf(pts, nodes[1]), sdf_loop_many(pts, nodes[1:2])[0])
 
     def test_buffer_bounded_by_one_block(self, rng, fresh_scratch, monkeypatch):
-        """The buffer holds the largest block's d + 2 arrays and never shrinks."""
+        """The buffer holds the largest tile's d + 2 arrays, each with its
+        carry row, and never shrinks."""
         monkeypatch.setattr(fresh_scratch, "_BLOCK_ELEMS", 1000)
         largest = 0
         for m, n, d in [(10, 3, 2), (40, 100, 2), (5, 2, 1), (400, 9, 3), (20, 20, 3)]:
             estimate_sdf_batch(rng.standard_normal((m, d)), rng.standard_normal((n, d)))
-            block = max(1, 1000 // (m * d))
-            largest = max(largest, (d + 2) * m * min(block, n))
+            targets = min(n, 31)  # isqrt(1000)
+            rows = min(m, 1000 // targets)
+            largest = max(largest, (d + 2) * (rows + 1) * targets)
             assert fresh_scratch._SCRATCH.buf.size == largest
+
+    def test_cold_call_stays_small(self, rng, fresh_scratch):
+        """A cold call on 20 000 points and 2 000 targets allocates one tile,
+        not a (points, targets) block."""
+        pts = rng.standard_normal((20_000, 2))
+        nodes = rng.standard_normal((2_000, 2))
+        tracemalloc.start()
+        try:
+            estimate_sdf_batch(pts, nodes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_result_not_aliased(self, rng, fresh_scratch):
         pts = rng.standard_normal((60, 3))
@@ -367,6 +394,30 @@ class TestRegion:
         r2 = combined_region(b, a, k=1.0)
         assert np.array_equal(r1.center, r2.center)
         assert r1.base_radius == r2.base_radius
+
+    @pytest.mark.parametrize("case", ["last_element", "sizes", "identical", "signed_zero"])
+    def test_pool_order_is_canonical(self, rng, case):
+        """Both argument orders pool the same array, down to the last bit and
+        the sign of a zero, and the centre is the pooled 1-median."""
+        a = rng.standard_normal((15, 2))
+        b = a.copy()
+        if case == "last_element":
+            b[-1, -1] = np.nextafter(b[-1, -1], np.inf)
+        elif case == "sizes":
+            b = rng.standard_normal((9, 2)) + 0.5
+        elif case == "signed_zero":
+            a[3, 0] = 0.0
+            b[3, 0] = -0.0
+        r1 = combined_region(a, b, k=1.0)
+        r2 = combined_region(b, a, k=1.0)
+        assert _same_bits(r1.center, r2.center)
+        assert r1.base_radius.hex() == r2.base_radius.hex()
+        assert r1.median.gradient_norm == r2.median.gradient_norm
+        assert r1.median.iterations == r2.median.iterations
+        pooled = np.vstack([a, b])
+        ref, converged = weiszfeld_median(pooled, tol=1e-12, max_iter=5000)
+        assert converged
+        assert np.abs(r1.center - ref).max() <= 1e-12 * np.abs(pooled).max()
 
     def test_combined_region_covers_pool(self, rng):
         a = rng.standard_normal((10, 2))
