@@ -288,8 +288,6 @@ def relocate(report: SolutionReport, path) -> SolutionReport:
 def _stage(name: str):
     try:
         yield
-    except PipelineError:
-        raise
     except Exception as err:
         raise PipelineError(name, err) from err
 

@@ -9,7 +9,6 @@ fixed evaluation order, so identical inputs give bit-identical outputs.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +18,6 @@ from .errors import DimensionMismatch
 # Cap on elements per (points, targets) tile in batch SDF evaluation: the
 # d + 2 arrays of one tile (2-2.6 MB for d = 2-3) fit a per-core L2 cache.
 _BLOCK_ELEMS = 1 << 16
-
-# Per-thread scratch buffer of estimate_sdf_batch (see _scratch).
-_SCRATCH = threading.local()
 
 # Halvings of a Newton step that does not lower the objective before the
 # Weiszfeld step is taken instead.
@@ -107,12 +103,10 @@ def estimate_sdf_batch(sample, targets) -> np.ndarray:
     sum over all points is still one running sum in sample order.
 
     The per-tile arrays (d quotients, the lengths and one array of squares,
-    each with the carry row) are views of a float64 scratch buffer kept per
-    thread and reused by later calls. The buffer grows to the largest tile
-    seen in its thread, (d + 2) x (rows + 1) x targets elements, whatever
-    the sample size, and is never shrunk. Every element a call reads was
-    written earlier in the same call, and the returned array is a new one
-    that never aliases the buffer.
+    each with the carry row) are views of one float64 buffer that the call
+    allocates for its largest tile, (d + 2) x (rows + 1) x targets elements
+    (about 2.6 MB at d = 3, whatever the sample size), and frees on return.
+    Every element a call reads was written earlier in the same call.
     """
     pts = _points(sample)
     tgt = _points(targets)
@@ -123,10 +117,11 @@ def estimate_sdf_batch(sample, targets) -> np.ndarray:
     out = np.empty_like(tgt)
     width = max(1, min(len(tgt), math.isqrt(_BLOCK_ELEMS)))
     height = max(1, min(m, _BLOCK_ELEMS // width))
+    buf = np.empty((d + 2) * (height + 1) * width)
     for start in range(0, len(tgt), width):
         chunk = tgt[start : start + width]
         n = len(chunk)
-        work = _scratch((d + 2) * (height + 1) * n).reshape(d + 2, height + 1, n)
+        work = buf[: (d + 2) * (height + 1) * n].reshape(d + 2, height + 1, n)
         sums, dist, sq = work[:d], work[d, 1:], work[d + 1, 1:]
         sums[:, 0] = 0.0
         for lo in range(0, m, height):
@@ -149,18 +144,6 @@ def estimate_sdf_batch(sample, targets) -> np.ndarray:
                 sums[j, 0] = _sum_in_order(sums[j, : rows + 1])
         out[start : start + width] = sums[:, 0].T / m
     return out
-
-
-def _scratch(n: int) -> np.ndarray:
-    """The first ``n`` elements of this thread's float64 scratch buffer.
-
-    The buffer is replaced by a larger one when ``n`` exceeds it and is
-    never shrunk. Its contents are whatever the last call left there.
-    """
-    buf = getattr(_SCRATCH, "buf", None)
-    if buf is None or buf.size < n:
-        buf = _SCRATCH.buf = np.empty(n)
-    return buf[:n]
 
 
 def _sum_in_order(a: np.ndarray) -> np.ndarray:
@@ -223,8 +206,6 @@ def spatial_median(sample, tol: float = 1e-8, max_iter: int = 1000) -> SpatialMe
         raise ValueError("tol must be positive")
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
-    if m == 1:
-        return SpatialMedianResult(pts[0], 0.0, 0, True)
     if d == 1:
         return SpatialMedianResult(np.median(pts, axis=0), 0.0, 0, True)
 

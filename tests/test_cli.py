@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import benchpursuit
-from benchpursuit import optimize
+from benchpursuit import optimize, spatial
 from benchpursuit.benchmarks import lcg_triplets
 from benchpursuit.cli import main, parse_benchmark
 from benchpursuit.dataio import ingest_csv, write_csv
@@ -255,6 +256,15 @@ class TestRunCommand:
     def test_bad_flag_value(self, data_csv, tmp_path):
         assert main(_run_args(data_csv, tmp_path / "o", "--restarts", "0")) == 1
 
+    def test_data_as_its_own_benchmark_is_degenerate(self, tmp_path, rng, capsys):
+        data = tmp_path / "plain.csv"
+        write_csv(DataMatrix(rng.standard_normal((20, 3)), ("v0", "v1", "v2")), data)
+        args = ["run", "--data", str(data), "--benchmark", f"file:{data}",
+                "--out", str(tmp_path / "o"), "--restarts", "2", "--iterations", "4",
+                "--qmc-points", "8", "--qmc-refine", "16"]
+        assert main(args) == 0
+        assert "degenerate run: every solution scored exactly zero" in capsys.readouterr().out
+
     def test_unparseable_data_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,huh\n")
@@ -271,9 +281,13 @@ class TestRunCommand:
         )
         assert code == 2
 
-    def test_nonconvergence_exits_3(self, data_csv, tmp_path, capsys):
+    def test_nonconvergence_exits_3(self, data_csv, tmp_path, capsys, monkeypatch):
         out = tmp_path / "out"
         assert main(_run_args(data_csv, out)) == 0
+        # With no iterations allowed, no tolerance is met by rounding luck.
+        monkeypatch.setattr(
+            spatial, "spatial_median", functools.partial(spatial.spatial_median, max_iter=0)
+        )
         report = json.loads((out / "report.json").read_text())
         report["manifest"]["index"]["median_tol"] = 1e-30
         manifest_path = tmp_path / "m.json"
@@ -505,6 +519,15 @@ def test_no_numeric_column_exits_2(tmp_path, monkeypatch, capsys, args):
     err = capsys.readouterr().err
     assert err.startswith("error") and err.count("\n") == 1
     assert "onlylab.csv" in err
+
+
+@pytest.mark.parametrize(
+    "args", [["run", "--dim", "x"], ["run", "--optimizer", "bogus"], ["bogus"], []]
+)
+def test_usage_error_exits_1(args, capsys):
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_module_entry_help():

@@ -1,9 +1,11 @@
+import functools
 import json
 from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
+from benchpursuit import spatial
 from benchpursuit.benchmarks import BenchmarkSpec
 from benchpursuit.dataio import write_csv
 from benchpursuit.errors import (
@@ -310,7 +312,11 @@ class TestRun:
         assert report.degenerate
         assert all(float(s.search_index) == 0.0 for s in report.solutions)
 
-    def test_nonconverged_flag(self, tmp_path, rng):
+    def test_nonconverged_flag(self, tmp_path, rng, monkeypatch):
+        # With no iterations allowed, no tolerance is met by rounding luck.
+        monkeypatch.setattr(
+            spatial, "spatial_median", functools.partial(spatial.spatial_median, max_iter=0)
+        )
         path, _ = _write_data(tmp_path, rng, n=12)
         manifest = _tiny_manifest(
             tmp_path,

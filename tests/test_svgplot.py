@@ -67,6 +67,29 @@ def test_legend_lists_each_source_once(rng):
     assert svg.count(">benchmark</text>") == 1
 
 
+def test_other_source_drawn_as_squares(rng):
+    samples = _samples_2d(rng, n=5, m=6) + [
+        ProjectedSample(rng.standard_normal((7, 2)), source="reference")
+    ]
+    svg = emit_svg(samples)
+    root = ET.fromstring(svg)
+    squares = [r for r in root.findall(f".//{SVG_NS}rect") if r.get("fill-opacity")]
+    # one legend square on top of the 7 points
+    assert len(squares) == 7 + 1
+    assert svg.count(">reference</text>") == 1
+
+
+@pytest.mark.parametrize("d, panels", [(1, 1), (2, 1), (3, 3)])
+def test_zero_row_sample_alone_draws_axes_only(d, panels):
+    """With no point at all the axes span the default extent."""
+    root = ET.fromstring(emit_svg([ProjectedSample(np.empty((0, d)))]))
+    assert len(_panel_frames(root)) == panels
+    assert root.findall(f".//{SVG_NS}line")  # tick marks
+    # the one circle is the legend's; no point is drawn
+    assert len(root.findall(f".//{SVG_NS}circle")) == 1
+    assert not root.findall(f".//{SVG_NS}path")
+
+
 def test_byte_determinism(rng):
     pts = rng.standard_normal((40, 2))
     a = emit_svg([ProjectedSample(pts)], title="run")
