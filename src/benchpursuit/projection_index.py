@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +22,45 @@ from .errors import DimensionMismatch, UnsupportedDimension
 from .frames import DataMatrix, ProjectionFrame
 from .sobol import SobolStream
 from .spatial import RegionSpec, combined_region, estimate_sdf_batch
+
+# Smallest min(n_x, n_y) x n_nodes at which index computes the two samples'
+# SDFs on two threads at the same time. On a 2-vCPU VM that gave two
+# threads twice one thread's speed only in spells, the two threads ran at
+# 0.80-1.04x of serial speed below 2^19 pairs and 0.98-1.52x from 2^19 up in
+# its slow spells, and at 1.06-1.78x throughout in its fast ones (sweep in
+# BENCH_16.json).
+_CONCURRENT_PAIRS = 1 << 19
+
+# The one worker thread of this process, created on first use.
+_worker: ThreadPoolExecutor | None = None
+_worker_lock = threading.Lock()
+
+
+def _forget_worker() -> None:
+    """In a forked child: the parent's worker thread does not exist there."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _second_thread() -> ThreadPoolExecutor | None:
+    """The worker thread, or None when this process may use only one CPU."""
+    global _worker
+    if _cpus() < 2:
+        return None
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="benchpursuit-sdf")
+        return _worker
 
 
 @dataclass(frozen=True)
@@ -139,6 +181,11 @@ def index(
     """Index of ``frame`` for data ``x`` against benchmark ``y``.
 
     ``n_nodes`` defaults to the search-phase node count ``cfg.n_nodes``.
+
+    When the smaller sample times ``n_nodes`` reaches ``_CONCURRENT_PAIRS``
+    and the process may run on two CPUs, ``x``'s SDF is computed on a worker
+    thread while the calling thread computes ``y``'s. The value has the same
+    bits on either path.
     """
     cfg = cfg if cfg is not None else IndexConfig()
     n_nodes = n_nodes if n_nodes is not None else cfg.n_nodes
@@ -154,9 +201,20 @@ def index(
     targets = region.center + region.effective_radius * _unit_ball_nodes(
         frame.d, cfg.sobol_skip, n_nodes
     )
-    gap = np.linalg.norm(
-        estimate_sdf_batch(px, targets) - estimate_sdf_batch(py, targets), axis=1
-    )
+    large = min(len(px), len(py)) * len(targets) >= _CONCURRENT_PAIRS
+    worker = _second_thread() if large else None
+    if worker is None:
+        fx = estimate_sdf_batch(px, targets)
+        fy = estimate_sdf_batch(py, targets)
+    else:
+        # Each target's sums keep their order on either thread, so the bits
+        # are those of the serial path; numpy releases the GIL in the tiles.
+        future = worker.submit(estimate_sdf_batch, px, targets, _shares=2)
+        try:
+            fy = estimate_sdf_batch(py, targets, _shares=2)
+        finally:
+            fx = future.result()
+    gap = np.linalg.norm(fx - fy, axis=1)
     value = ball_volume(frame.d, region.effective_radius) * float(gap.mean())
     return IndexValue(value=value, n_nodes_used=n_nodes, region=region)
 

@@ -1,3 +1,11 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +14,8 @@ from hypothesis import strategies as st
 import benchpursuit as bp
 from benchpursuit import DataMatrix, IndexConfig, ProjectionFrame
 from benchpursuit.errors import UnsupportedDimension
+import benchpursuit.projection_index as projection_index
+import benchpursuit.spatial as spatial
 from benchpursuit.projection_index import ball_volume, map_to_ball
 from benchpursuit.spatial import RegionSpec, combined_region
 
@@ -193,3 +203,177 @@ class TestRefine:
         coarse = float(bp.index(f, x, y))
         fine = float(bp.refine_index(f, x, y))
         assert abs(coarse - fine) / fine < 0.05
+
+
+def _bits(value: bp.IndexValue) -> str:
+    return float(value).hex()
+
+
+@pytest.fixture
+def concurrent(monkeypatch):
+    """Every index call takes the two-thread path, on any machine."""
+    monkeypatch.setattr(projection_index, "_CONCURRENT_PAIRS", 0)
+    monkeypatch.setattr(projection_index, "_cpus", lambda: 2)
+
+
+def _child_index(frame, x, y, cfg, want):
+    """Runs in a forked child; a mismatch exits non-zero."""
+    assert _bits(bp.refine_index(frame, x, y, cfg)) == want
+
+
+class TestConcurrentSdf:
+    """index computes the two samples' SDFs on two threads above a size gate;
+    the gate, the thread and the halved tiles change no bit."""
+
+    @pytest.mark.parametrize("block", [64, 1 << 16])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_gate_changes_no_bit(self, monkeypatch, d, block):
+        """Gate at 0 and at infinity give the same bits for index and
+        refine_index; a small block makes the halved tiles differ."""
+        monkeypatch.setattr(spatial, "_BLOCK_ELEMS", block)
+        monkeypatch.setattr(projection_index, "_cpus", lambda: 2)
+        x, y = _instance(seed=d, n1=37, n2=53, p=4)
+        f = bp.random_frame(4, d, np.random.default_rng(d))
+        cfg = IndexConfig(n_nodes=50, n_nodes_refine=700)
+        got = {}
+        for gate in (0, float("inf")):
+            monkeypatch.setattr(projection_index, "_CONCURRENT_PAIRS", gate)
+            got[gate] = [_bits(bp.index(f, x, y, cfg)), _bits(bp.refine_index(f, x, y, cfg))]
+        assert got[0] == got[float("inf")]
+
+    def test_symmetry_exact_unequal_sizes(self, concurrent):
+        """The worker gets x in one argument order and y in the other."""
+        x, y = _instance(seed=5, n1=30, n2=45, p=3)
+        f = bp.random_frame(3, 2, np.random.default_rng(5))
+        cfg = IndexConfig(n_nodes_refine=900)
+        assert _bits(bp.index(f, x, y, cfg)) == _bits(bp.index(f, y, x, cfg))
+        assert _bits(bp.refine_index(f, x, y, cfg)) == _bits(bp.refine_index(f, y, x, cfg))
+
+    def test_import_starts_no_thread(self):
+        code = (
+            "import threading, benchpursuit, benchpursuit.projection_index as pi; "
+            "assert threading.active_count() == 1, threading.enumerate(); "
+            "assert pi._worker is None"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_one_cpu_never_creates_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("pool created on one CPU")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(projection_index, "_worker", None)
+        monkeypatch.setattr(projection_index, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(projection_index, "_CONCURRENT_PAIRS", 0)
+        x, y = _instance()
+        v = bp.index(ProjectionFrame(np.eye(2)), x, y)
+        assert projection_index._worker is None
+        monkeypatch.setattr(projection_index, "_CONCURRENT_PAIRS", float("inf"))
+        assert _bits(v) == _bits(bp.index(ProjectionFrame(np.eye(2)), x, y))
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_exception_from_either_call_surfaces(self, monkeypatch, concurrent, failing):
+        """The failure is raised from index only after the worker's call is
+        done, and the next call works and gives the serial bits."""
+        real = spatial.estimate_sdf_batch
+        state = {"armed": True, "worker_done": False}
+
+        def flaky(sample, targets, _shares=1):
+            on_worker = threading.current_thread().name.startswith("benchpursuit-sdf")
+            if on_worker:
+                time.sleep(0.05)
+            if state["armed"] and on_worker == (failing == "worker"):
+                raise RuntimeError(failing)
+            out = real(sample, targets, _shares=_shares)
+            state["worker_done"] |= on_worker
+            return out
+
+        monkeypatch.setattr(projection_index, "estimate_sdf_batch", flaky)
+        x, y = _instance()
+        f = ProjectionFrame(np.eye(2))
+        with pytest.raises(RuntimeError, match=failing):
+            bp.index(f, x, y)
+        assert state["worker_done"] == (failing == "caller")
+        state["armed"] = False
+        got = bp.index(f, x, y)
+        monkeypatch.setattr(projection_index, "_CONCURRENT_PAIRS", float("inf"))
+        assert _bits(got) == _bits(bp.index(f, x, y))
+
+    def test_threads_share_the_worker(self, monkeypatch, concurrent):
+        """More callers than cores, switching often, all on the one worker."""
+        rng = np.random.default_rng(11)
+        f = ProjectionFrame(np.eye(2))
+        jobs = [_instance(seed=int(s), n1=40 + k, n2=60 - k)
+                for k, s in enumerate(rng.integers(0, 10_000, 4))]
+        monkeypatch.setattr(projection_index, "_CONCURRENT_PAIRS", float("inf"))
+        want = [_bits(bp.index(f, x, y)) for x, y in jobs]
+        monkeypatch.setattr(projection_index, "_CONCURRENT_PAIRS", 0)
+        results = [None] * len(jobs)
+
+        def work(k):
+            x, y = jobs[k]
+            results[k] = [_bits(bp.index(f, x, y)) for _ in range(20)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(jobs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [[w] * 20 for w in want]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_gets_its_own_worker(self, concurrent):
+        x, y = _instance(seed=3, n1=50, n2=70)
+        f = ProjectionFrame(np.eye(2))
+        cfg = IndexConfig(n_nodes_refine=600)
+        want = _bits(bp.refine_index(f, x, y, cfg))
+        assert projection_index._worker is not None
+        child = multiprocessing.get_context("fork").Process(
+            target=_child_index, args=(f, x, y, cfg, want)
+        )
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("index hung in a forked child")
+        assert child.exitcode == 0
+
+    def test_two_tiles_share_one_tiles_memory(self, monkeypatch):
+        """One concurrent call on 20 000 x 2 against 20 000 x 2 points at
+        2 000 nodes: from the end of the region stage, whose spatial median
+        has temporaries of its own, the traced peak (the projections, nodes,
+        results and both calls' tiles) stays under 4 MB."""
+        monkeypatch.setattr(projection_index, "_cpus", lambda: 2)
+        real_region = projection_index.combined_region
+
+        def region_then_reset(*args, **kwargs):
+            out = real_region(*args, **kwargs)
+            tracemalloc.reset_peak()
+            return out
+
+        monkeypatch.setattr(projection_index, "combined_region", region_then_reset)
+        rng = np.random.default_rng(2)
+        x = DataMatrix(rng.standard_normal((20_000, 2)), ("a", "b"))
+        y = DataMatrix(rng.standard_normal((20_000, 2)) + 0.5, ("a", "b"))
+        f = ProjectionFrame(np.eye(2))
+        assert 20_000 * 2_000 >= projection_index._CONCURRENT_PAIRS
+        projection_index._unit_ball_nodes(2, 0, 2_000)  # cached nodes, as in a search
+        tracemalloc.start()
+        try:
+            bp.index(f, x, y, n_nodes=2_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert projection_index._worker is not None
+        assert peak < 4 * 2**20

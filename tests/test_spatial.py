@@ -150,7 +150,8 @@ class TestSdfScratch:
 
     def test_poisoned_scratch_is_overwritten(self, rng, monkeypatch):
         """A work buffer that starts as NaN changes no bit, for d = 1-3, with
-        one-target tiles (block 3) up to a whole call in one tile (2**16)."""
+        one-target tiles (block 3) up to a whole call in one tile (2**16),
+        whole or split between two concurrent calls (_shares=2)."""
         import benchpursuit.spatial as spatial
 
         class NanEmpty:
@@ -173,8 +174,9 @@ class TestSdfScratch:
                 nodes[0] = pts[m // 2]
                 want = sdf_loop_many(pts, nodes)
                 assert _same_bits(estimate_sdf_batch(pts, nodes), want)
+                assert _same_bits(estimate_sdf_batch(pts, nodes, _shares=2), want)
                 assert _same_bits(estimate_sdf(pts, nodes[0]), want[0])
-        assert NanEmpty.calls == 4 * 2 * len(cases)
+        assert NanEmpty.calls == 4 * 3 * len(cases)
 
     def test_cold_call_stays_small(self, rng):
         """A call on 20 000 points and 2 000 targets allocates one tile, not
