@@ -160,7 +160,7 @@ def _cmd_filter(args) -> int:
     if args.labels is not None:
         selection = {"labels": [s for s in args.labels.split(",") if s != ""]}
     else:
-        with open(args.index_file, encoding="utf-8") as fh:
+        with open(args.index_file, encoding="utf-8-sig") as fh:
             try:
                 indices = [int(line) for line in fh if line.strip()]
             except ValueError as err:

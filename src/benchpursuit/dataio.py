@@ -31,9 +31,10 @@ def ingest_csv(path, label_column: str | None = None) -> DataMatrix:
     Every cell outside the optional label column must parse as a finite
     decimal number; the label column is held as row labels and excluded from
     the numeric values. Errors carry the 1-based line number and column name.
+    A leading UTF-8 byte-order mark, as spreadsheet programs write, is skipped.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, UnsupportedDimension
 from .frames import DataMatrix, ProjectionFrame
-from .sobol import SobolStream
+from .sobol import MAX_POINTS, SobolStream
 from .spatial import RegionSpec, combined_region, estimate_sdf_batch
 
 # Smallest min(n_x, n_y) x n_nodes at which index computes the two samples'
@@ -31,20 +30,6 @@ from .spatial import RegionSpec, combined_region, estimate_sdf_batch
 # BENCH_16.json).
 _CONCURRENT_PAIRS = 1 << 19
 
-# The one worker thread of this process, created on first use.
-_worker: ThreadPoolExecutor | None = None
-_worker_lock = threading.Lock()
-
-
-def _forget_worker() -> None:
-    """In a forked child: the parent's worker thread does not exist there."""
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
-
 
 def _cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
@@ -52,15 +37,11 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _second_thread() -> ThreadPoolExecutor | None:
-    """The worker thread, or None when this process may use only one CPU."""
-    global _worker
-    if _cpus() < 2:
-        return None
-    with _worker_lock:
-        if _worker is None:
-            _worker = ThreadPoolExecutor(1, thread_name_prefix="benchpursuit-sdf")
-        return _worker
+@functools.cache
+def _worker(pid: int) -> ThreadPoolExecutor:
+    """The one worker thread of process ``pid``, started on first use; a
+    forked child has a new pid, so it starts its own."""
+    return ThreadPoolExecutor(1, thread_name_prefix="benchpursuit-sdf")
 
 
 @dataclass(frozen=True)
@@ -94,6 +75,8 @@ class IndexConfig:
             raise ValueError("node counts must be at least 1")
         if self.sobol_skip < 0:
             raise ValueError("sobol_skip must be nonnegative")
+        if self.sobol_skip + max(self.n_nodes, self.n_nodes_refine) > MAX_POINTS:
+            raise ValueError(f"sobol_skip plus the node count must be at most {MAX_POINTS}")
         if not self.median_tol > 0:
             raise ValueError("median_tol must be positive")
 
@@ -183,9 +166,9 @@ def index(
     ``n_nodes`` defaults to the search-phase node count ``cfg.n_nodes``.
 
     When the smaller sample times ``n_nodes`` reaches ``_CONCURRENT_PAIRS``
-    and the process may run on two CPUs, ``x``'s SDF is computed on a worker
-    thread while the calling thread computes ``y``'s. The value has the same
-    bits on either path.
+    and the process may run on two CPUs, ``x``'s SDF is computed on the
+    process's worker thread while the calling thread computes ``y``'s. The
+    value has the same bits on either path.
     """
     cfg = cfg if cfg is not None else IndexConfig()
     n_nodes = n_nodes if n_nodes is not None else cfg.n_nodes
@@ -201,17 +184,15 @@ def index(
     targets = region.center + region.effective_radius * _unit_ball_nodes(
         frame.d, cfg.sobol_skip, n_nodes
     )
-    large = min(len(px), len(py)) * len(targets) >= _CONCURRENT_PAIRS
-    worker = _second_thread() if large else None
-    if worker is None:
+    if min(len(px), len(py)) * len(targets) < _CONCURRENT_PAIRS or _cpus() < 2:
         fx = estimate_sdf_batch(px, targets)
         fy = estimate_sdf_batch(py, targets)
     else:
         # Each target's sums keep their order on either thread, so the bits
         # are those of the serial path; numpy releases the GIL in the tiles.
-        future = worker.submit(estimate_sdf_batch, px, targets, _shares=2)
+        future = _worker(os.getpid()).submit(estimate_sdf_batch, px, targets)
         try:
-            fy = estimate_sdf_batch(py, targets, _shares=2)
+            fy = estimate_sdf_batch(py, targets)
         finally:
             fx = future.result()
     gap = np.linalg.norm(fx - fy, axis=1)

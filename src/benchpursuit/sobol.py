@@ -16,6 +16,10 @@ from .errors import UnsupportedDimension
 _N_BITS = 32
 _SCALE = float(2**_N_BITS)
 
+# Points 0 to 2^32 - 1 are distinct; with 32-bit direction integers point
+# 2^32 + i would repeat point i.
+MAX_POINTS = 1 << _N_BITS
+
 # One row per dimension beyond the first:
 # (polynomial degree s, interior coefficient bits a, initial odd m values).
 _DIRECTIONS: tuple[tuple[int, int, tuple[int, ...]], ...] = (
@@ -76,6 +80,8 @@ class SobolStream:
         """
         if n < 0:
             raise ValueError("n must be nonnegative")
+        if self.next_index + n > MAX_POINTS:
+            raise ValueError(f"Sobol points from index {MAX_POINTS} on repeat earlier ones")
         idx = np.arange(self.next_index, self.next_index + n, dtype=np.uint64)
         gray = idx ^ (idx >> np.uint64(1))
         x = np.zeros((n, self.dimension), dtype=np.uint64)

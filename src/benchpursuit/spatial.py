@@ -15,10 +15,10 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-# Cap on elements per (points, targets) tile in batch SDF evaluation: the
-# d + 2 arrays of one tile (2-2.6 MB for d = 2-3) fit a per-core L2 cache.
-# Calls that run at the same time split its rows (``_shares``), so together
-# they hold about as much as one call.
+# Elements in a full (points, targets) tile of batch SDF evaluation. A call
+# fills only half of one, so the d + 2 arrays of its tile (1.0-1.3 MB for
+# d = 2-3) fit a per-core L2 cache, and so do the two tiles of the calls that
+# ``index`` runs at the same time.
 _BLOCK_ELEMS = 1 << 16
 
 # Halvings of a Newton step that does not lower the objective before the
@@ -83,7 +83,7 @@ def _points(obj) -> np.ndarray:
     return pts
 
 
-def estimate_sdf_batch(sample, targets, _shares: int = 1) -> np.ndarray:
+def estimate_sdf_batch(sample, targets) -> np.ndarray:
     """Plug-in spatial distribution function at many target points.
 
     Returns the (n_targets, d) array of mean unit vectors from each target
@@ -99,23 +99,17 @@ def estimate_sdf_batch(sample, targets, _shares: int = 1) -> np.ndarray:
     tiled and equals a loop that adds one point's unit vector at a time,
     starting from zero.
 
-    The work is tiled so that it stays in cache: a tile holds at most
-    isqrt(_BLOCK_ELEMS) targets and _BLOCK_ELEMS // _shares // targets
-    points. Each target's running sum is carried in row 0 of the next point
-    tile, so the sum over all points is still one running sum in sample
-    order.
+    The work is tiled so that it stays in cache: every call uses one rule, a
+    tile of at most isqrt(_BLOCK_ELEMS) targets and _BLOCK_ELEMS // 2 //
+    targets points. Each target's running sum is carried in row 0 of the
+    next point tile, so the sum over all points is still one running sum in
+    sample order.
 
     The per-tile arrays (d quotients, the lengths and one array of squares,
     each with the carry row) are views of one float64 buffer that the call
     allocates for its largest tile, (d + 2) x (rows + 1) x targets elements
-    (about 2.6 MB at d = 3, whatever the sample size), and frees on return.
+    (about 1.3 MB at d = 3, whatever the sample size), and frees on return.
     Every element a call reads was written earlier in the same call.
-
-    ``_shares`` is the number of calls running at the same time that split
-    one tile's memory between them: ``index`` passes 2 when it runs its two
-    samples' calls on two threads, so each tile has half the points and the
-    two buffers together hold at most one row of targets more than one
-    serial call's. It changes the tiling only, never a bit of the result.
     """
     pts = _points(sample)
     tgt = _points(targets)
@@ -125,7 +119,7 @@ def estimate_sdf_batch(sample, targets, _shares: int = 1) -> np.ndarray:
     cols = [pts[:, j, None] for j in range(d)]
     out = np.empty_like(tgt)
     width = max(1, min(len(tgt), math.isqrt(_BLOCK_ELEMS)))
-    height = max(1, min(m, _BLOCK_ELEMS // _shares // width))
+    height = max(1, min(m, _BLOCK_ELEMS // 2 // width))
     buf = np.empty((d + 2) * (height + 1) * width)
     for start in range(0, len(tgt), width):
         chunk = tgt[start : start + width]

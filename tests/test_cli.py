@@ -338,6 +338,17 @@ class TestRunCommand:
             [["n", "benchmark"]] * 10 + [["t", "data"]] * 10
         )
 
+    def test_class_column_after_byte_order_mark(self, data_csv, tmp_path):
+        """A CSV saved as Excel's "CSV UTF-8" starts with a byte-order mark."""
+        bom_csv = tmp_path / "bom.csv"
+        bom_csv.write_bytes(b"\xef\xbb\xbf" + data_csv.read_bytes())
+        out = tmp_path / "out"
+        args = ["run", "--data", str(bom_csv), "--benchmark", "class:tissue=t",
+                "--out", str(out), "--restarts", "1", "--iterations", "2",
+                "--qmc-points", "8", "--qmc-refine", "16"]
+        assert main(args) == 0
+        assert (out / "report.json").is_file()
+
     def test_dim_1_writes_report(self, tmp_path):
         data = tmp_path / "randu.csv"
         write_csv(lcg_triplets("randu", seed=1, n=400), data)
@@ -374,6 +385,11 @@ class TestFilterCommand:
         original = ingest_csv(data_csv, label_column="tissue")
         kept = ingest_csv(out, label_column="tissue")
         assert np.array_equal(kept.values, original.values[3:])
+        # the same file as a spreadsheet program saves it, after a byte-order mark
+        idx.write_bytes(b"\xef\xbb\xbf" + idx.read_bytes())
+        assert main(["filter", "--data", str(data_csv), "--label-column", "tissue",
+                     "--index-file", str(idx), "--out", str(out)]) == 0
+        assert np.array_equal(ingest_csv(out, label_column="tissue").values, original.values[3:])
 
     def test_selector_required(self, data_csv, tmp_path):
         base = ["filter", "--data", str(data_csv), "--out", str(tmp_path / "o.csv")]

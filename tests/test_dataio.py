@@ -38,6 +38,16 @@ class TestIngest:
         assert x.row_labels == ("t", "n")
         assert x.label_name == "tissue"
 
+    def test_utf8_byte_order_mark_skipped(self, tmp_path):
+        """Spreadsheet programs start a UTF-8 CSV with a byte-order mark."""
+        path = tmp_path / "d.csv"
+        path.write_bytes("\ufeffclass,a,b\nA,1,2\nB,3,4\n".encode("utf-8"))
+        x = ingest_csv(path, label_column="class")
+        assert x.column_names == ("a", "b")
+        assert x.row_labels == ("A", "B")
+        path.write_bytes("\ufeffa,b\n1,2\n".encode("utf-8"))
+        assert ingest_csv(path).column_names == ("a", "b")
+
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b\n1,2\n")

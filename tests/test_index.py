@@ -90,6 +90,12 @@ class TestIndexConfig:
             IndexConfig(n_nodes=0)
         with pytest.raises(ValueError):
             IndexConfig(sobol_skip=-1)
+        # The nodes after the skip stay within the 2^32 distinct Sobol points.
+        IndexConfig(sobol_skip=2**32 - 5000)
+        with pytest.raises(ValueError, match="sobol_skip"):
+            IndexConfig(sobol_skip=2**32 - 4999)
+        with pytest.raises(ValueError, match="sobol_skip"):
+            IndexConfig(sobol_skip=2**32 - 9000, n_nodes=9001, n_nodes_refine=10)
 
 
 class TestIndexValue:
@@ -253,7 +259,7 @@ class TestConcurrentSdf:
         code = (
             "import threading, benchpursuit, benchpursuit.projection_index as pi; "
             "assert threading.active_count() == 1, threading.enumerate(); "
-            "assert pi._worker is None"
+            "assert pi._worker.cache_info().currsize == 0"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -261,17 +267,18 @@ class TestConcurrentSdf:
         assert proc.returncode == 0, proc.stderr
 
     def test_one_cpu_never_creates_pool(self, monkeypatch):
+        """A 1-CPU affinity never asks for the worker. The factory is patched
+        as well as the pool, since an earlier test may have cached a worker."""
         def no_pool(*args, **kwargs):
             raise AssertionError("pool created on one CPU")
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(projection_index, "_worker", None)
         monkeypatch.setattr(projection_index, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(projection_index, "_worker", no_pool)
         monkeypatch.setattr(projection_index, "_CONCURRENT_PAIRS", 0)
         x, y = _instance()
         v = bp.index(ProjectionFrame(np.eye(2)), x, y)
-        assert projection_index._worker is None
         monkeypatch.setattr(projection_index, "_CONCURRENT_PAIRS", float("inf"))
         assert _bits(v) == _bits(bp.index(ProjectionFrame(np.eye(2)), x, y))
 
@@ -282,13 +289,13 @@ class TestConcurrentSdf:
         real = spatial.estimate_sdf_batch
         state = {"armed": True, "worker_done": False}
 
-        def flaky(sample, targets, _shares=1):
+        def flaky(sample, targets):
             on_worker = threading.current_thread().name.startswith("benchpursuit-sdf")
             if on_worker:
                 time.sleep(0.05)
             if state["armed"] and on_worker == (failing == "worker"):
                 raise RuntimeError(failing)
-            out = real(sample, targets, _shares=_shares)
+            out = real(sample, targets)
             state["worker_done"] |= on_worker
             return out
 
@@ -337,7 +344,7 @@ class TestConcurrentSdf:
         f = ProjectionFrame(np.eye(2))
         cfg = IndexConfig(n_nodes_refine=600)
         want = _bits(bp.refine_index(f, x, y, cfg))
-        assert projection_index._worker is not None
+        assert projection_index._worker.cache_info().currsize >= 1
         child = multiprocessing.get_context("fork").Process(
             target=_child_index, args=(f, x, y, cfg, want)
         )
@@ -375,5 +382,5 @@ class TestConcurrentSdf:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert projection_index._worker is not None
+        assert projection_index._worker.cache_info().currsize >= 1
         assert peak < 4 * 2**20

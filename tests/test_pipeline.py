@@ -159,6 +159,12 @@ class TestRunManifest:
         with pytest.raises(ConfigError):
             RunManifest.from_dict(raw)
 
+    def test_sobol_skip_past_distinct_points_rejected(self, tmp_path):
+        raw = _tiny_manifest(tmp_path, "data.csv").to_dict()
+        raw["index"]["sobol_skip"] = 2**32
+        with pytest.raises(ConfigError, match="sobol_skip"):
+            RunManifest.from_dict(raw)
+
     @pytest.mark.parametrize(
         "section, key, value",
         [

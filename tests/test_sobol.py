@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benchpursuit.errors import UnsupportedDimension
-from benchpursuit.sobol import SobolStream
+from benchpursuit.sobol import MAX_POINTS, SobolStream
 
 scipy_qmc = pytest.importorskip("scipy.stats.qmc")
 
@@ -72,6 +72,20 @@ class TestStreamBehavior:
     def test_negative_take(self):
         with pytest.raises(ValueError):
             SobolStream(2).take(-1)
+
+    def test_take_past_last_distinct_point(self):
+        """32-bit direction integers give 2^32 distinct points; point 2^32 + i
+        would be point i again."""
+        s = SobolStream(2, skip=MAX_POINTS - 2)
+        last = s.take(2)
+        assert last[1, 0] == 2.0**-32 and s.next_index == MAX_POINTS
+        with pytest.raises(ValueError):
+            s.take(1)
+        assert s.take(0).shape == (0, 2)
+        with pytest.raises(ValueError):
+            SobolStream(2, skip=MAX_POINTS - 2).take(3)
+        with pytest.raises(ValueError):
+            SobolStream(2, skip=2**33).take(4)
 
     @given(st.integers(1, 8))
     @settings(max_examples=8, deadline=None)
