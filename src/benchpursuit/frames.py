@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,6 +26,13 @@ def _readonly(values: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _pickle_by_fields(obj):
+    """``__reduce__`` of a frozen holder of read-only arrays: unpickling
+    calls the constructor, so ``__post_init__`` runs again and the arrays
+    come back read-only."""
+    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))
+
+
 @dataclass(frozen=True)
 class DataMatrix:
     """An n x p table of finite real observations with named columns.
@@ -39,6 +46,8 @@ class DataMatrix:
     column_names: tuple[str, ...]
     row_labels: tuple[str, ...] | None = None
     label_name: str | None = None
+
+    __reduce__ = _pickle_by_fields
 
     def __post_init__(self):
         values = np.atleast_2d(np.asarray(self.values, dtype=float))
@@ -82,6 +91,8 @@ class ProjectionFrame:
 
     matrix: np.ndarray
 
+    __reduce__ = _pickle_by_fields
+
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2:
@@ -111,6 +122,8 @@ class ProjectedSample:
 
     points: np.ndarray
     source: str = "data"
+
+    __reduce__ = _pickle_by_fields
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)

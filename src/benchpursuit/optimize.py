@@ -8,17 +8,26 @@ given the seed and track the best frame seen.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, PursuitError
 from .frames import ProjectionFrame, orthonormalize
-from .projection_index import IndexConfig, IndexValue, index
+from . import projection_index
+from .projection_index import IndexConfig, IndexValue, _cpus, index
 
 log = logging.getLogger(__name__)
+
+# Smallest estimated search work, in sample-point x node pairs (see
+# ``_workers``), at which run_search runs its restarts on worker processes.
+# Starting them costs about 25 ms on a 2-vCPU VM, where they lost to one
+# process up to 8.4e5 pairs and won from 1.3e6 up (sweep in BENCH_18.json).
+_POOL_PAIRS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -255,6 +264,65 @@ def flag_duplicates(solutions: list[SolutionProjection]) -> None:
                 break
 
 
+def _restart(x, y, d: int, idx_cfg: IndexConfig, search_cfg: SearchConfig, restart_id: int):
+    """Restart ``restart_id`` of :func:`run_search`: its solution, or the
+    numerical error that ended it."""
+    seed = search_cfg.rng_seed + restart_id
+    rng = np.random.default_rng(seed)
+    search = anneal_search if search_cfg.optimizer == "anneal" else geodesic_search
+    try:
+        start = random_frame(x.p, d, rng)
+        sol = search(lambda frame: index(frame, x, y, idx_cfg), start, search_cfg, rng)
+    except (PursuitError, np.linalg.LinAlgError, ValueError) as err:
+        return err
+    sol.restart_id = restart_id
+    sol.seed = seed
+    return sol
+
+
+def _workers(x, y, idx_cfg: IndexConfig, search_cfg: SearchConfig) -> int:
+    """Worker processes for a search's restarts; 1 runs them in this process.
+
+    The work is estimated in sample-point x node pairs as restarts x
+    evaluations per restart x (n_x + n_y) x n_nodes, counting every probe
+    of a geodesic iteration. A daemonic process (a multiprocessing pool's
+    worker) may not start children, so it runs its restarts itself.
+    """
+    workers = min(search_cfg.restarts, _cpus())
+    if workers < 2 or not hasattr(os, "fork"):
+        return 1
+    if search_cfg.optimizer == "anneal":
+        evaluations = search_cfg.max_iterations + 1
+    else:
+        evaluations = 1 + search_cfg.max_iterations * search_cfg.geodesic.n_probes
+    if search_cfg.restarts * evaluations * (x.n + y.n) * idx_cfg.n_nodes < _POOL_PAIRS:
+        return 1
+    import multiprocessing
+
+    return 1 if multiprocessing.current_process().daemon else workers
+
+
+def _serial_sdf() -> None:
+    """Pool initializer: a worker computes each index on one thread, so the
+    workers alone share the CPUs."""
+    projection_index._CONCURRENT_PAIRS = math.inf
+
+
+def _on_workers(work, restart_ids: range, workers: int) -> list:
+    """``work`` of each restart id on worker processes, one restart per task,
+    in restart-id order. The workers are forked, so they start in
+    milliseconds with the package already imported. An error ``work``
+    raises, or a worker that dies, is raised here once the running restarts
+    are done; every worker is joined before this returns."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"), initializer=_serial_sdf
+    ) as pool:
+        return list(pool.map(work, restart_ids))
+
+
 def run_search(
     x,
     y,
@@ -270,29 +338,31 @@ def run_search(
     broken by restart id; near-duplicate spans are flagged. A restart that
     fails numerically is logged and skipped; a ``d`` outside [1, p] raises
     :class:`DimensionMismatch` before the first restart.
+
+    When there are several restarts, the process may run on two or more
+    CPUs and the estimated work reaches ``_POOL_PAIRS``, the restarts run on
+    forked worker processes, one restart per task, and each worker computes
+    its index values on one thread. Every restart draws only from its own
+    seed, so the solutions have the same bits either way; failed restarts
+    are logged by this process, in restart order. The workers' memory is
+    their own, outside this process's resident set.
     """
     if not 1 <= d <= x.p:
         raise DimensionMismatch(f"d must be in [1, {x.p}] for {x.p} data columns, got {d}")
     idx_cfg = idx_cfg if idx_cfg is not None else IndexConfig()
     search_cfg = search_cfg if search_cfg is not None else SearchConfig()
 
-    def objective(frame: ProjectionFrame) -> IndexValue:
-        return index(frame, x, y, idx_cfg)
-
-    search = anneal_search if search_cfg.optimizer == "anneal" else geodesic_search
+    work = functools.partial(_restart, x, y, d, idx_cfg, search_cfg)
+    restart_ids = range(search_cfg.restarts)
+    workers = _workers(x, y, idx_cfg, search_cfg)
+    outcomes = _on_workers(work, restart_ids, workers) if workers > 1 else map(work, restart_ids)
     solutions: list[SolutionProjection] = []
-    for restart_id in range(search_cfg.restarts):
-        seed = search_cfg.rng_seed + restart_id
-        rng = np.random.default_rng(seed)
-        try:
-            start = random_frame(x.p, d, rng)
-            sol = search(objective, start, search_cfg, rng)
-        except (PursuitError, np.linalg.LinAlgError, ValueError) as err:
-            log.warning("restart %d (seed %d) failed: %s", restart_id, seed, err)
-            continue
-        sol.restart_id = restart_id
-        sol.seed = seed
-        solutions.append(sol)
+    for restart_id, outcome in zip(restart_ids, outcomes):
+        if isinstance(outcome, SolutionProjection):
+            solutions.append(outcome)
+        else:
+            seed = search_cfg.rng_seed + restart_id
+            log.warning("restart %d (seed %d) failed: %s", restart_id, seed, outcome)
     solutions.sort(key=lambda s: (-float(s.search_index), s.restart_id))
     flag_duplicates(solutions)
     return solutions

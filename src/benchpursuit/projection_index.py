@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnsupportedDimension
+from .errors import DimensionMismatch, NonFiniteValue, UnsupportedDimension
 from .frames import DataMatrix, ProjectionFrame
 from .sobol import MAX_POINTS, SobolStream
 from .spatial import RegionSpec, combined_region, estimate_sdf_batch
@@ -98,12 +98,15 @@ class IndexValue:
 
 
 def ball_volume(d: int, radius: float) -> float:
-    """Volume of the d-ball of the given radius."""
+    """Volume of the d-ball of the given radius, inf beyond the largest float."""
     if d < 1:
         raise ValueError("d must be at least 1")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    return math.pi ** (d / 2) / math.gamma(d / 2 + 1) * radius**d
+    try:
+        return math.pi ** (d / 2) / math.gamma(d / 2 + 1) * radius**d
+    except OverflowError:
+        return math.inf
 
 
 def map_to_ball(u, region: RegionSpec) -> np.ndarray:
@@ -169,6 +172,10 @@ def index(
     and the process may run on two CPUs, ``x``'s SDF is computed on the
     process's worker thread while the calling thread computes ``y``'s. The
     value has the same bits on either path.
+
+    Raises:
+        NonFiniteValue: if the projections, the integration ball's volume or
+            the index itself is beyond the largest float.
     """
     cfg = cfg if cfg is not None else IndexConfig()
     n_nodes = n_nodes if n_nodes is not None else cfg.n_nodes
@@ -178,9 +185,13 @@ def index(
         raise DimensionMismatch(f"data has {x.p} columns but frame has {frame.p} rows")
     if y.p != frame.p:
         raise DimensionMismatch(f"benchmark has {y.p} columns but frame has {frame.p} rows")
-    px = x.values @ frame.matrix
-    py = y.values @ frame.matrix
+    with np.errstate(over="ignore"):  # an overflow raises NonFiniteValue below
+        px = x.values @ frame.matrix
+        py = y.values @ frame.matrix
     region = combined_region(px, py, cfg.k, tol=cfg.median_tol)
+    volume = ball_volume(frame.d, region.effective_radius)
+    if not math.isfinite(volume):
+        raise NonFiniteValue(f"the integration ball has radius {region.effective_radius:.3g}")
     targets = region.center + region.effective_radius * _unit_ball_nodes(
         frame.d, cfg.sobol_skip, n_nodes
     )
@@ -196,7 +207,9 @@ def index(
         finally:
             fx = future.result()
     gap = np.linalg.norm(fx - fy, axis=1)
-    value = ball_volume(frame.d, region.effective_radius) * float(gap.mean())
+    value = volume * float(gap.mean())
+    if not math.isfinite(value):
+        raise NonFiniteValue(f"the index is {value} on a ball of volume {volume:.3g}")
     return IndexValue(value=value, n_nodes_used=n_nodes, region=region)
 
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteValue
+from .frames import _pickle_by_fields
 
 # Elements in a full (points, targets) tile of batch SDF evaluation. A call
 # fills only half of one, so the d + 2 arrays of its tile (1.0-1.3 MB for
@@ -35,6 +36,8 @@ class SpatialMedianResult:
     iterations: int
     converged: bool
 
+    __reduce__ = _pickle_by_fields
+
     def __post_init__(self):
         loc = np.array(np.asarray(self.location, dtype=float))
         loc.setflags(write=False)
@@ -49,6 +52,8 @@ class RegionSpec:
     base_radius: float
     multiplier: float
     median: SpatialMedianResult | None = None
+
+    __reduce__ = _pickle_by_fields
 
     def __post_init__(self):
         center = np.array(np.asarray(self.center, dtype=float).ravel())
@@ -83,6 +88,28 @@ def _points(obj) -> np.ndarray:
     return pts
 
 
+def _pow2_scale(*arrays: np.ndarray) -> float:
+    """The power of two that takes the largest magnitude in ``arrays`` into
+    [0.5, 1), or 1.0 if there is none.
+
+    Multiplying by it is exact, and the computations here are homogeneous in
+    the coordinates, so a result computed from scaled points has the bits of
+    the unscaled computation wherever that one neither overflows nor
+    underflows, while squared offsets now do neither at any finite scale.
+
+    Raises:
+        NonFiniteValue: if an array holds NaN or an infinity.
+    """
+    top = 0.0
+    for a in arrays:
+        peak = float(np.abs(a).max()) if a.size else 0.0
+        if not math.isfinite(peak):
+            raise NonFiniteValue("points contain NaN or infinite values")
+        top = max(top, peak)
+    # Capped so that subnormal points get a finite scale.
+    return math.ldexp(1.0, min(-math.frexp(top)[1], 1023)) if top else 1.0
+
+
 def estimate_sdf_batch(sample, targets) -> np.ndarray:
     """Plug-in spatial distribution function at many target points.
 
@@ -110,12 +137,18 @@ def estimate_sdf_batch(sample, targets) -> np.ndarray:
     allocates for its largest tile, (d + 2) x (rows + 1) x targets elements
     (about 1.3 MB at d = 3, whatever the sample size), and frees on return.
     Every element a call reads was written earlier in the same call.
+
+    Points and targets are first scaled by one power of two (see
+    ``_pow2_scale``), which leaves every unit vector's bits as they are
+    while the offsets and their squares stay finite and normal.
     """
     pts = _points(sample)
     tgt = _points(targets)
     m, d = pts.shape
     if tgt.shape[1] != d:
         raise DimensionMismatch(f"sample has d={d} but targets have d={tgt.shape[1]}")
+    scale = _pow2_scale(pts, tgt)
+    pts, tgt = pts * scale, tgt * scale
     cols = [pts[:, j, None] for j in range(d)]
     out = np.empty_like(tgt)
     width = max(1, min(len(tgt), math.isqrt(_BLOCK_ELEMS)))
@@ -200,21 +233,35 @@ def spatial_median(sample, tol: float = 1e-8, max_iter: int = 1000) -> SpatialMe
     over the points is d contiguous rows and the pull and Hessian are
     matrix products.
 
+    The iteration runs on the points scaled by a power of two (see
+    ``_pow2_scale``), and the location is scaled back: the bits are those of
+    the unscaled iteration wherever it neither overflows nor underflows, and
+    points at any finite scale (1e300 or 1e-300) are handled alike.
+
     A failure to converge within ``max_iter`` steps is reported through the
     ``converged`` flag, not an exception.
     """
     pts = _points(sample)
-    m, d = pts.shape
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
-    if d == 1:
-        return SpatialMedianResult(np.median(pts, axis=0), 0.0, 0, True)
+    scale = _pow2_scale(pts)
+    loc, gnorm, iterations, converged = _newton_median(pts, scale, tol, max_iter)
+    return SpatialMedianResult(loc / scale, gnorm, iterations, converged)
 
-    cols = np.ascontiguousarray(pts.T)
-    snap = 1e-13 * float(np.abs(pts).max())
-    t = np.median(pts, axis=0)
+
+def _newton_median(pts: np.ndarray, scale: float, tol: float, max_iter: int):
+    """:func:`spatial_median` in units of 1 / ``scale``, as (location in
+    those units, gradient norm, iterations, converged). Only the (d, m)
+    offsets and small clusters of points are held scaled."""
+    m, d = pts.shape
+    cols = np.multiply(pts.T, scale, order="C")
+    t = np.median(cols, axis=1)
+    if d == 1:
+        return t, 0.0, 0, True
+
+    snap = 1e-13 * float(np.abs(cols).max())
     diff = cols - t[:, None]
     dist = _lengths(diff)
     reach = 0.0  # length of the longest step proposed last iteration
@@ -224,7 +271,7 @@ def spatial_median(sample, tol: float = 1e-8, max_iter: int = 1000) -> SpatialMe
         coincident = dist <= snap if dist[nearest] <= snap else None
         eta = 0 if coincident is None else int(coincident.sum())
         if eta == m:
-            return SpatialMedianResult(pts.mean(axis=0), 0.0, it, True)
+            return (pts * scale).mean(axis=0), 0.0, it, True
         if eta or dist[nearest] <= reach:
             away = cols - cols[:, nearest, None]
             lengths = _lengths(away)
@@ -232,8 +279,8 @@ def spatial_median(sample, tol: float = 1e-8, max_iter: int = 1000) -> SpatialMe
             outside = ~cluster
             r_c = float(np.linalg.norm(away[:, outside] @ (1.0 / lengths[outside])))
             if r_c - cluster.sum() <= tol:
-                loc = pts[cluster].mean(axis=0)
-                return SpatialMedianResult(loc, max(r_c - cluster.sum(), 0.0), it, True)
+                loc = (pts[cluster] * scale).mean(axis=0)
+                return loc, max(r_c - cluster.sum(), 0.0), it, True
         if eta:
             inv = np.zeros(m)
             inv[~coincident] = 1.0 / dist[~coincident]
@@ -243,8 +290,8 @@ def spatial_median(sample, tol: float = 1e-8, max_iter: int = 1000) -> SpatialMe
         r = float(np.linalg.norm(pull))
         gnorm = max(r - eta, 0.0) if eta else r
         if gnorm <= tol:
-            loc = pts[coincident].mean(axis=0) if eta else t
-            return SpatialMedianResult(loc, gnorm, it, True)
+            loc = (pts[coincident] * scale).mean(axis=0) if eta else t
+            return loc, gnorm, it, True
         if it == max_iter:
             break
         reach = 0.0
@@ -280,16 +327,18 @@ def spatial_median(sample, tol: float = 1e-8, max_iter: int = 1000) -> SpatialMe
         t = target
         diff = cols - t[:, None]
         dist = _lengths(diff)
-    return SpatialMedianResult(t, gnorm, max_iter, False)
+    return t, gnorm, max_iter, False
 
 
 def data_radius(sample, center) -> float:
-    """Distance from ``center`` to the farthest sample point."""
+    """Distance from ``center`` to the farthest sample point: inf only if
+    that distance exceeds the largest float."""
     pts = _points(sample)
     center = np.asarray(center, dtype=float).ravel()
     if center.size != pts.shape[1]:
         raise DimensionMismatch(f"center has d={center.size} but sample has d={pts.shape[1]}")
-    return float(np.max(np.linalg.norm(pts - center, axis=1)))
+    scale = _pow2_scale(pts, center)
+    return float(np.max(np.linalg.norm(pts * scale - center * scale, axis=1))) / scale
 
 
 def combined_region(proj_x, proj_y, k: float, tol: float = 1e-8) -> RegionSpec:

@@ -321,6 +321,34 @@ class TestRunCommand:
         assert len(warnings) == 1
         assert "restart 1 (seed 4) failed: forced failure" in warnings[0].getMessage()
 
+    def test_failed_restart_in_a_worker_is_logged_and_counted(self, data_csv, tmp_path,
+                                                              capsys, caplog, monkeypatch):
+        """The same run with its restarts on worker processes: the worker
+        returns the failure and the parent logs it."""
+        monkeypatch.setattr(optimize, "_POOL_PAIRS", 0)
+        monkeypatch.setattr(optimize, "_cpus", lambda: 2)
+        pools = []
+        real_pool = optimize._on_workers
+        monkeypatch.setattr(optimize, "_on_workers", lambda *a: pools.append(a) or real_pool(*a))
+        real_search = optimize.anneal_search
+
+        def seed_4_fails(objective, start, cfg, rng):
+            if rng.bit_generator.seed_seq.entropy == 4:
+                raise ValueError("forced failure")
+            return real_search(objective, start, cfg, rng)
+
+        monkeypatch.setattr(optimize, "anneal_search", seed_4_fails)
+        out = tmp_path / "out"
+        assert main(_run_args(data_csv, out, "--restarts", "3")) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert (report["restarts_completed"], report["restarts_requested"]) == (2, 3)
+        assert sorted(s["restart_id"] for s in report["solutions"]) == [0, 2]
+        assert "(2/3 restarts)" in capsys.readouterr().out
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert "restart 1 (seed 4) failed: forced failure" in warnings[0].getMessage()
+        assert len(pools) == 1
+
     def test_class_benchmark_names_the_label_column(self, data_csv, tmp_path):
         out = tmp_path / "out"
         args = ["run", "--data", str(data_csv), "--benchmark", "class:tissue=t",

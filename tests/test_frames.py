@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,8 @@ from benchpursuit import (
     subset_rows,
 )
 from benchpursuit.errors import DimensionMismatch
+from benchpursuit.projection_index import index
+from benchpursuit.spatial import RegionSpec, SpatialMedianResult, spatial_median
 
 
 def _gaussian(rows, cols, seed=0):
@@ -176,3 +180,39 @@ class TestSubsetRows:
             subset_rows(x, [3])
         with pytest.raises(IndexOutOfRange):
             subset_rows(x, [-1])
+
+
+def _arrays(obj):
+    """Every numpy array reachable through the object's fields."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    return [a for v in getattr(obj, "__dict__", {}).values() for a in _arrays(v)]
+
+
+_PICKLED = {
+    "DataMatrix": lambda: DataMatrix(_gaussian(5, 3), ("a", "b", "c"), ("x",) * 5, "lab"),
+    "ProjectionFrame": lambda: orthonormalize(_gaussian(4, 2)),
+    "ProjectedSample": lambda: project(DataMatrix(_gaussian(5, 2), ("a", "b")),
+                                       ProjectionFrame(np.eye(2)), "benchmark"),
+    "SpatialMedianResult": lambda: spatial_median(_gaussian(9, 2)),
+    "RegionSpec": lambda: RegionSpec(np.zeros(2), 1.5, 2.0, spatial_median(_gaussian(9, 2))),
+    "IndexValue": lambda: index(ProjectionFrame(np.eye(2)), DataMatrix(_gaussian(9, 2), ("a", "b")),
+                                DataMatrix(_gaussian(7, 2, seed=1), ("a", "b"))),
+}
+
+
+class TestPickle:
+    """A pickle round trip, as between pool workers and their parent, keeps
+    every field's bits and every array read-only."""
+
+    @pytest.mark.parametrize("kind", list(_PICKLED))
+    def test_round_trip_keeps_bits_and_read_only(self, kind):
+        obj = _PICKLED[kind]()
+        back = pickle.loads(pickle.dumps(obj))
+        assert type(back) is type(obj)
+        before, after = _arrays(obj), _arrays(back)
+        assert len(after) == len(before) >= 1
+        for a, b in zip(before, after):
+            assert b.tobytes() == a.tobytes() and b.shape == a.shape
+            assert not b.flags.writeable
+        assert repr(back) == repr(obj)

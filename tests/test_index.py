@@ -42,6 +42,10 @@ class TestBallVolume:
     def test_solid_sphere(self):
         assert ball_volume(3, 1.0) == pytest.approx(4.0 * np.pi / 3.0)
 
+    def test_beyond_the_largest_float_is_inf(self):
+        assert ball_volume(2, 1e200) == np.inf
+        assert ball_volume(1, 1e308) == np.inf
+
 
 class TestMapToBall:
     def test_inside_ball(self, rng):
@@ -110,6 +114,31 @@ class TestIndexValue:
         x, y = _instance()
         v = bp.index(ProjectionFrame(np.eye(2)), x, y, IndexConfig(k=2.0))
         assert v.region.multiplier == 2.0
+
+
+class TestIndexOverflow:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_power_of_two_scale(self, d):
+        """Data scaled by 2**300 give the index times 2**(300 d), where the
+        squared offsets once overflowed."""
+        x, y = _instance(seed=d, p=3)
+        f = bp.random_frame(3, d, np.random.default_rng(d))
+        big = [DataMatrix(m.values * 2.0**300, m.column_names) for m in (x, y)]
+        want = float(bp.index(f, x, y)) * 2.0 ** (300 * d)
+        assert float(bp.index(f, *big)) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_ball_beyond_the_largest_float_raises(self, scale):
+        x, y = _instance(seed=2)
+        big = [DataMatrix(m.values * scale, m.column_names) for m in (x, y)]
+        with pytest.raises(bp.NonFiniteValue, match="integration ball"):
+            bp.index(ProjectionFrame(np.eye(2)), *big)
+
+    def test_projection_beyond_the_largest_float_raises(self):
+        x = DataMatrix([[1.5e308, 1.5e308], [0.0, 1.0]], ("a", "b"))
+        f = ProjectionFrame(np.full((2, 1), np.sqrt(0.5)))
+        with pytest.raises(bp.NonFiniteValue):
+            bp.index(f, x, x)
 
 
 class TestIndexProperties:

@@ -1,3 +1,8 @@
+import math
+import multiprocessing
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,8 +14,14 @@ from benchpursuit import (
     IndexConfig,
     ProjectionFrame,
     SearchConfig,
+    optimize,
+    projection_index,
 )
+from benchpursuit.benchmarks import BenchmarkSpec
+from benchpursuit.dataio import write_csv
+from benchpursuit.errors import PipelineError
 from benchpursuit.optimize import _GeodesicPath, largest_principal_angle, flag_duplicates
+from benchpursuit.pipeline import RunManifest, run
 from oracles import random_orthogonal
 
 
@@ -345,3 +356,230 @@ class TestRunSearch:
             search_cfg=SearchConfig(restarts=1, max_iterations=4, rng_seed=0),
         )
         assert sols[0].search_index.n_nodes_used == 17
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Every search of two or more restarts runs on worker processes, on any
+    machine; the list records the worker count of each pool started."""
+    started = []
+    real = optimize._on_workers
+
+    def spy(work, restart_ids, workers):
+        started.append(workers)
+        return real(work, restart_ids, workers)
+
+    monkeypatch.setattr(optimize, "_POOL_PAIRS", 0)
+    monkeypatch.setattr(optimize, "_cpus", lambda: 2)
+    monkeypatch.setattr(optimize, "_on_workers", spy)
+    return started
+
+
+def _fingerprint(solutions):
+    return [
+        (s.restart_id, s.seed, s.frame.matrix.tobytes(), float(s.search_index).hex(),
+         s.search_index.region.center.tobytes(), s.best_trace, s.iterations_used,
+         s.duplicate_of)
+        for s in solutions
+    ]
+
+
+def _fail_on_seed(monkeypatch, seed, error):
+    """anneal_search raises ``error`` in the restart drawing from ``seed``."""
+    real = optimize.anneal_search
+
+    def search(objective, start, cfg, rng):
+        if rng.bit_generator.seed_seq.entropy == seed:
+            raise error
+        return real(objective, start, cfg, rng)
+
+    monkeypatch.setattr(optimize, "anneal_search", search)
+
+
+def _no_pool(*args):
+    raise AssertionError("restart pool started")
+
+
+def _search_in_daemon(x, y, cfg, want):
+    """Runs in a daemonic forked child; a mismatch exits non-zero."""
+    assert _fingerprint(bp.run_search(x, y, d=2, search_cfg=cfg)) == want
+
+
+class TestRestartPool:
+    """run_search runs its restarts on forked workers above a work gate; the
+    pool changes no bit, and leaves no process behind."""
+
+    def _data(self, p=4):
+        rng = np.random.default_rng(31)
+        names = tuple(f"v{i}" for i in range(p))
+        x = DataMatrix(rng.standard_normal((25, p)) + np.eye(p)[0] * 1.5, names)
+        y = DataMatrix(rng.standard_normal((35, p)), names)
+        return x, y
+
+    @pytest.mark.parametrize("optimizer", ["anneal", "geodesic"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_pool_matches_serial(self, monkeypatch, tmp_path, pooled, optimizer, d):
+        """Solutions, traces and report.json bytes, run by run."""
+        x, _ = self._data()
+        data_path = tmp_path / "data.csv"
+        write_csv(x, data_path)
+        cfg = SearchConfig(optimizer=optimizer, restarts=3, max_iterations=6, rng_seed=40 + d,
+                           geodesic=GeodesicConfig(n_probes=4))
+
+        def both():
+            out = tmp_path / f"out-{len(pooled)}"
+            report = run(RunManifest(
+                data_path=str(data_path), benchmark=BenchmarkSpec(kind="permutation", seed=5),
+                out_dir=str(out), dim=d, index_cfg=IndexConfig(n_nodes=16, n_nodes_refine=32),
+                search_cfg=cfg))
+            return _fingerprint(report.solutions), (out / "report.json").read_bytes()
+
+        got = both()
+        assert pooled == [2]
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(optimize, "_POOL_PAIRS", math.inf)
+        want = both()
+        assert pooled == [2]
+        assert got[0] == want[0]
+        assert got[1] == want[1].replace(b"out-1", b"out-0")
+
+    def test_subsets_of_restarts_reproduce(self, pooled):
+        x, y = self._data()
+        full = bp.run_search(x, y, d=2, search_cfg=SearchConfig(restarts=5, max_iterations=8,
+                                                                 rng_seed=60))
+        by_seed = {s.seed: s for s in full}
+        for seed, restarts in ((60, 2), (62, 3), (64, 1)):
+            part = bp.run_search(x, y, d=2, search_cfg=SearchConfig(
+                restarts=restarts, max_iterations=8, rng_seed=seed))
+            assert len(part) == restarts
+            for s in part:
+                assert s.frame.matrix.tobytes() == by_seed[s.seed].frame.matrix.tobytes()
+                assert s.best_trace == by_seed[s.seed].best_trace
+        # one restart never starts a pool
+        assert pooled == [2, 2, 2]
+
+    def test_restarts_run_in_workers_without_sdf_thread(self, monkeypatch, pooled):
+        """With the SDF gate at 0 on two CPUs, the parent would use its SDF
+        thread; the workers compute each index on their one thread."""
+        x, y = self._data()
+        cfg = SearchConfig(restarts=3, max_iterations=5, rng_seed=7)
+        want = _fingerprint(bp.run_search(x, y, d=2, search_cfg=cfg))
+        monkeypatch.setattr(projection_index, "_CONCURRENT_PAIRS", 0)
+        monkeypatch.setattr(projection_index, "_cpus", lambda: 2)
+        parent = os.getpid()
+        real = projection_index.estimate_sdf_batch
+
+        def in_worker_thread_only(sample, targets):
+            assert os.getpid() != parent, "restart ran in the parent"
+            name = threading.current_thread().name
+            assert not name.startswith("benchpursuit-sdf"), "worker started the SDF thread"
+            return real(sample, targets)
+
+        monkeypatch.setattr(projection_index, "estimate_sdf_batch", in_worker_thread_only)
+        assert _fingerprint(bp.run_search(x, y, d=2, search_cfg=cfg)) == want
+        assert pooled == [2, 2]
+
+    def test_failed_restarts_are_logged_in_order(self, monkeypatch, caplog, pooled):
+        x, y = self._data()
+        cfg = SearchConfig(restarts=4, max_iterations=4, rng_seed=20)
+        for seed in (23, 21):
+            _fail_on_seed(monkeypatch, seed, ValueError(f"forced failure {seed}"))
+        sols = bp.run_search(x, y, d=2, search_cfg=cfg)
+        assert sorted(s.restart_id for s in sols) == [0, 2]
+        messages = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert messages == ["restart 1 (seed 21) failed: forced failure 21",
+                            "restart 3 (seed 23) failed: forced failure 23"]
+        assert pooled == [2]
+
+    def test_uncaught_worker_error_reaches_parent(self, monkeypatch, tmp_path, pooled):
+        x, y = self._data()
+        _fail_on_seed(monkeypatch, 11, RuntimeError("worker crash"))
+        cfg = SearchConfig(restarts=3, max_iterations=4, rng_seed=10)
+        with pytest.raises(RuntimeError, match="worker crash"):
+            bp.run_search(x, y, d=2, search_cfg=cfg)
+        assert multiprocessing.active_children() == []
+        data_path = tmp_path / "data.csv"
+        write_csv(x, data_path)
+        manifest = RunManifest(data_path=str(data_path),
+                               benchmark=BenchmarkSpec(kind="permutation", seed=5),
+                               out_dir=str(tmp_path / "out"),
+                               index_cfg=IndexConfig(n_nodes=8, n_nodes_refine=16),
+                               search_cfg=cfg)
+        with pytest.raises(PipelineError) as info:
+            run(manifest)
+        assert info.value.stage == "search"
+        assert isinstance(info.value.cause, RuntimeError)
+        assert multiprocessing.active_children() == []
+        assert pooled == [2, 2]
+
+    def test_dead_worker_raises(self, monkeypatch, pooled):
+        """A worker that dies mid-restart (killed, say) fails the search
+        instead of leaving it waiting for the lost restart."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        real = optimize.anneal_search
+
+        def exit_on_seed_12(objective, start, cfg, rng):
+            if rng.bit_generator.seed_seq.entropy == 12:
+                os._exit(3)
+            return real(objective, start, cfg, rng)
+
+        monkeypatch.setattr(optimize, "anneal_search", exit_on_seed_12)
+        x, y = self._data()
+        with pytest.raises(BrokenProcessPool):
+            bp.run_search(x, y, d=2, search_cfg=SearchConfig(restarts=3, max_iterations=4,
+                                                             rng_seed=10))
+        assert multiprocessing.active_children() == []
+        assert pooled == [2]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_daemonic_caller_runs_serially(self, monkeypatch):
+        """A pool's worker may not start children: the search runs in it."""
+        x, y = self._data()
+        cfg = SearchConfig(restarts=3, max_iterations=4, rng_seed=2)
+        want = _fingerprint(bp.run_search(x, y, d=2, search_cfg=cfg))
+        monkeypatch.setattr(optimize, "_POOL_PAIRS", 0)
+        monkeypatch.setattr(optimize, "_cpus", lambda: 2)
+        monkeypatch.setattr(optimize, "_on_workers", _no_pool)
+        child = multiprocessing.get_context("fork").Process(
+            target=_search_in_daemon, args=(x, y, cfg, want), daemon=True)
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("search hung in a daemonic child")
+        assert child.exitcode == 0
+
+    def test_when_the_pool_is_used(self, monkeypatch):
+        """Restarts, CPUs, fork and the work estimate: restarts x evaluations
+        per restart x (n_x + n_y) x n_nodes against the gate."""
+        x, y = self._data()
+        idx = IndexConfig(n_nodes=10)
+        anneal = SearchConfig(restarts=3, max_iterations=4)
+        geodesic = SearchConfig(optimizer="geodesic", restarts=3, max_iterations=4,
+                                geodesic=GeodesicConfig(n_probes=6))
+        monkeypatch.setattr(optimize, "_cpus", lambda: 2)
+        for cfg, work in ((anneal, 3 * 5 * 60 * 10), (geodesic, 3 * 25 * 60 * 10)):
+            monkeypatch.setattr(optimize, "_POOL_PAIRS", work)
+            assert optimize._workers(x, y, idx, cfg) == 2
+            monkeypatch.setattr(optimize, "_POOL_PAIRS", work + 1)
+            assert optimize._workers(x, y, idx, cfg) == 1
+        monkeypatch.setattr(optimize, "_POOL_PAIRS", 0)
+        assert optimize._workers(x, y, idx, SearchConfig(restarts=1)) == 1
+        monkeypatch.setattr(optimize, "_cpus", lambda: 8)
+        assert optimize._workers(x, y, idx, anneal) == 3
+        monkeypatch.setattr(optimize, "_cpus", lambda: 1)
+        assert optimize._workers(x, y, idx, anneal) == 1
+        monkeypatch.setattr(optimize, "_cpus", lambda: 2)
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert optimize._workers(x, y, idx, anneal) == 1
+
+    def test_one_cpu_affinity_runs_serially(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(optimize, "_POOL_PAIRS", 0)
+        monkeypatch.setattr(optimize, "_on_workers", _no_pool)
+        x, y = self._data()
+        sols = bp.run_search(x, y, d=2, search_cfg=SearchConfig(restarts=3, max_iterations=3))
+        assert len(sols) == 3

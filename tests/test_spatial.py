@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from benchpursuit.errors import DimensionMismatch
+import benchpursuit as bp
+from benchpursuit import spatial
+from benchpursuit.errors import DimensionMismatch, NonFiniteValue
 from benchpursuit.spatial import (
     RegionSpec,
     combined_region,
@@ -421,3 +423,90 @@ class TestRegion:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
             combined_region(rng.standard_normal((5, 2)), rng.standard_normal((5, 3)), k=1.0)
+
+
+def _square(s: float) -> np.ndarray:
+    """Four points whose 1-median is the doubled point (s, 0)."""
+    return np.array([[s, 0.0], [s, 0.0], [-s, s], [0.0, -s]])
+
+
+class TestExtremeScales:
+    """The routines scale the points by a power of two first, so squared
+    offsets neither overflow nor underflow at any finite scale."""
+
+    @pytest.mark.parametrize("s", [1e150, 1e154, 1e155, 1e200, 1e300, 1e-300])
+    def test_square_set(self, s):
+        """Up to the fix, (0.5 s, 0) was returned from 1e155 up, marked
+        converged, the radius read inf and the SDF zero."""
+        pts = _square(s)
+        res = spatial_median(pts)
+        assert res.converged
+        assert np.array_equal(res.location, [s, 0.0])
+        assert data_radius(pts, res.location) == pytest.approx(np.sqrt(5.0) * s, rel=1e-15)
+        at_unit = estimate_sdf_batch(_square(1.0), [[0.5, 0.25], [0.0, 0.0]])
+        assert np.allclose(estimate_sdf_batch(pts, [[0.5 * s, 0.25 * s], [0.0, 0.0]]), at_unit,
+                           rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("k", [-1000, -600, 520, 1000])
+    def test_power_of_two_scales_keep_the_bits(self, k):
+        """At a scale of 2**k every result is the unit-scale one, scaled."""
+        f = 2.0**k
+        pts = np.random.default_rng(k % 97).standard_normal((30, 2))
+        tgt = pts[:5] * 0.5
+        ref = spatial_median(pts)
+        res = spatial_median(pts * f)
+        assert res.location.tobytes() == (ref.location * f).tobytes()
+        assert (res.gradient_norm, res.iterations) == (ref.gradient_norm, ref.iterations)
+        assert estimate_sdf_batch(pts * f, tgt * f).tobytes() == estimate_sdf_batch(pts, tgt).tobytes()
+        assert data_radius(pts * f, ref.location * f) == data_radius(pts, ref.location) * f
+
+    def test_coincident_points_at_the_largest_scale(self):
+        """Five copies of (1e308, -1e308): once a NaN after 1000 iterations,
+        then [inf, -inf] from the overflowing mean, both marked converged."""
+        res = spatial_median(np.tile([1e308, -1e308], (5, 1)))
+        assert res.converged and res.iterations == 0
+        assert np.array_equal(res.location, [1e308, -1e308])
+        one_d = spatial_median(np.array([[1e308], [1.5e308], [-1e308], [1.7e308]]))
+        assert np.array_equal(one_d.location, [1.25e308])
+
+    def test_radius_beyond_the_largest_float_is_inf(self):
+        assert data_radius(np.array([[1.5e308, 0.0]]), [-1.5e308, 0.0]) == np.inf
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_raise(self, bad):
+        pts = _square(1.0)
+        pts[2, 1] = bad
+        with pytest.raises(NonFiniteValue):
+            spatial_median(pts)
+        with pytest.raises(NonFiniteValue):
+            estimate_sdf_batch(pts, [[0.0, 0.0]])
+        with pytest.raises(NonFiniteValue):
+            estimate_sdf_batch(_square(1.0), pts)
+        with pytest.raises(NonFiniteValue):
+            data_radius(pts, [0.0, 0.0])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("magnitude", [1e-3, 1.0, 3.0, 1e5])
+    def test_scaling_keeps_todays_bits(self, monkeypatch, d, magnitude):
+        """On seeded frames, index values and their regions have the bits of
+        the computation without the scaling (the scale pinned at 1)."""
+        rng = np.random.default_rng(int(100 * d + np.log10(magnitude)))
+        names = ("a", "b", "c", "e")
+        x = bp.DataMatrix(magnitude * (rng.standard_normal((40, 4)) + 1.0), names)
+        y = bp.DataMatrix(magnitude * rng.standard_normal((30, 4)), names)
+        frames = [bp.random_frame(4, d, np.random.default_rng(seed)) for seed in range(4)]
+        cfg = bp.IndexConfig(n_nodes=60, n_nodes_refine=300)
+
+        def values():
+            out = []
+            for f in frames:
+                for v in (bp.index(f, x, y, cfg), bp.refine_index(f, x, y, cfg)):
+                    med = v.region.median
+                    out.append((float(v).hex(), v.region.center.tobytes(),
+                                float(v.region.base_radius).hex(),
+                                med.gradient_norm, med.iterations))
+            return out
+
+        scaled = values()
+        monkeypatch.setattr(spatial, "_pow2_scale", lambda *arrays: 1.0)
+        assert scaled == values()
