@@ -9,11 +9,8 @@ the two projected point clouds.
 from .benchmarks import (
     GENERATORS,
     BenchmarkSpec,
-    LcgState,
     build_benchmark,
     class_split,
-    lcg_next,
-    lcg_state,
     lcg_triplets,
     permutation_benchmark,
 )
@@ -102,7 +99,6 @@ __all__ = [
     "IndexConfig",
     "IndexOutOfRange",
     "IndexValue",
-    "LcgState",
     "MAX_DIMENSION",
     "MissingColumn",
     "NonFiniteValue",
@@ -140,8 +136,6 @@ __all__ = [
     "index",
     "ingest_csv",
     "largest_principal_angle",
-    "lcg_next",
-    "lcg_state",
     "lcg_triplets",
     "map_to_ball",
     "orthonormalize",

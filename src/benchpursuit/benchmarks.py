@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .dataio import ingest_csv
 from .errors import ConfigError, DimensionMismatch, EmptyPartition, UnknownColumn
 from .frames import DataMatrix, subset_rows
 from .jsonconfig import build
@@ -24,55 +25,27 @@ GENERATORS: dict[str, tuple[int, int]] = {
 }
 
 
-@dataclass(frozen=True)
-class LcgState:
-    """A multiplicative congruential generator frozen at one state."""
-
-    modulus: int
-    multiplier: int
-    state: int
-
-    def __post_init__(self):
-        if self.modulus < 2 or self.multiplier < 1:
-            raise ValueError("need modulus >= 2 and multiplier >= 1")
-        if not 1 <= self.state < self.modulus:
-            raise ValueError(f"state must be in [1, {self.modulus - 1}], got {self.state}")
-
-
-def lcg_state(generator: str, seed: int) -> LcgState:
-    """Initial state of a named generator."""
-    key = generator.lower()
-    if key not in GENERATORS:
-        raise ConfigError(f"unknown generator '{generator}' (have {sorted(GENERATORS)})")
-    modulus, multiplier = GENERATORS[key]
-    return LcgState(modulus=modulus, multiplier=multiplier, state=seed)
-
-
-def lcg_next(state: LcgState) -> tuple[int, LcgState]:
-    """One exact step: the new raw value and the advanced state.
-
-    Python integers are arbitrary precision, so the product never overflows
-    and the result is exact for any modulus.
-    """
-    value = (state.multiplier * state.state) % state.modulus
-    return value, LcgState(state.modulus, state.multiplier, value)
-
-
 def lcg_triplets(generator: str, seed: int, n: int) -> DataMatrix:
     """n non-overlapping consecutive triplets of a generator, scaled to (0, 1).
 
     Triplet i holds draws 3i+1, 3i+2, 3i+3 of the stream divided by the
-    modulus, in columns x1, x2, x3.
+    modulus, in columns x1, x2, x3. The recurrence runs on Python integers,
+    so every draw is exact for any modulus.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    state = lcg_state(generator, seed)
+    key = generator.lower()
+    if key not in GENERATORS:
+        raise ConfigError(f"unknown generator '{generator}' (have {sorted(GENERATORS)})")
+    modulus, multiplier = GENERATORS[key]
+    if not 1 <= seed < modulus:
+        raise ValueError(f"seed must be in [1, {modulus - 1}], got {seed}")
     raw = np.empty(3 * n, dtype=np.int64)
+    state = seed
     for i in range(3 * n):
-        value, state = lcg_next(state)
-        raw[i] = value
-    values = raw.reshape(n, 3) / float(state.modulus)
-    return DataMatrix(values=values, column_names=("x1", "x2", "x3"))
+        state = multiplier * state % modulus
+        raw[i] = state
+    return DataMatrix(values=raw.reshape(n, 3) / float(modulus), column_names=("x1", "x2", "x3"))
 
 
 def permutation_benchmark(x: DataMatrix, seed: int) -> DataMatrix:
@@ -133,6 +106,8 @@ class BenchmarkSpec:
         elif self.kind == "permutation":
             if self.seed is None:
                 raise ConfigError("permutation benchmark needs a seed")
+            if self.seed < 0:
+                raise ConfigError(f"permutation seed must be nonnegative, got {self.seed}")
         elif self.kind == "class_split":
             if not self.label_column or self.level is None:
                 raise ConfigError("class_split benchmark needs label_column and level")
@@ -141,6 +116,9 @@ class BenchmarkSpec:
                 raise ConfigError("lcg benchmark needs generator and seed")
             if self.generator.lower() not in GENERATORS:
                 raise ConfigError(f"unknown generator '{self.generator}'")
+            modulus = GENERATORS[self.generator.lower()][0]
+            if not 1 <= self.seed < modulus:
+                raise ConfigError(f"lcg seed must be in [1, {modulus - 1}], got {self.seed}")
             if self.n_rows is not None and self.n_rows < 1:
                 raise ConfigError("n_rows must be at least 1")
         else:
@@ -162,8 +140,6 @@ def build_benchmark(spec: BenchmarkSpec, x: DataMatrix) -> tuple[DataMatrix, Dat
     kind the data side is ``x`` unchanged.
     """
     if spec.kind == "external":
-        from .dataio import ingest_csv
-
         y = ingest_csv(spec.path)
         if y.p != x.p:
             raise DimensionMismatch(f"benchmark has {y.p} columns but data has {x.p}")

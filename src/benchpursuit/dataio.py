@@ -120,14 +120,19 @@ def standardize_columns(data: DataMatrix) -> DataMatrix:
 
     A constant column (or a single-row matrix) is centered only, since its
     scale carries no information.
+
+    Each column is first multiplied by the power of two that takes its
+    largest magnitude into [0.5, 1). That leaves the result's bits as they
+    are wherever the unscaled computation neither overflows nor underflows,
+    and keeps the squares finite and normal at scales such as 1e300 or
+    1e-300, where unscaled they would overflow to inf or underflow to 0.
     """
-    values = data.values
+    exponents = np.frexp(np.abs(data.values).max(axis=0))[1]
+    scales = np.ldexp(1.0, np.minimum(-exponents, 1023))
+    values = data.values * scales
     means = values.mean(axis=0)
-    if data.n > 1:
-        stds = values.std(axis=0, ddof=1)
-    else:
-        stds = np.ones(data.p)
-    stds = np.where(stds > 0, stds, 1.0)
+    stds = values.std(axis=0, ddof=1) if data.n > 1 else np.zeros(data.p)
+    stds = np.where(stds > 0, stds, scales)
     return DataMatrix(
         values=(values - means) / stds,
         column_names=data.column_names,

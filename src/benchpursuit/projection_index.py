@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -175,7 +176,8 @@ def index(
 
     Raises:
         NonFiniteValue: if the projections, the integration ball's volume or
-            the index itself is beyond the largest float.
+            the index itself is beyond the largest float, or if the samples
+            differ but the index is below the smallest normal float.
     """
     cfg = cfg if cfg is not None else IndexConfig()
     n_nodes = n_nodes if n_nodes is not None else cfg.n_nodes
@@ -206,10 +208,15 @@ def index(
             fy = estimate_sdf_batch(py, targets)
         finally:
             fx = future.result()
-    gap = np.linalg.norm(fx - fy, axis=1)
-    value = volume * float(gap.mean())
+    gap = float(np.linalg.norm(fx - fy, axis=1).mean())
+    value = volume * gap
     if not math.isfinite(value):
         raise NonFiniteValue(f"the index is {value} on a ball of volume {volume:.3g}")
+    if gap > 0.0 and value < sys.float_info.min:
+        raise NonFiniteValue(
+            f"the index underflows ({value:.3g}) on a ball of radius "
+            f"{region.effective_radius:.3g}; rescale the data, e.g. with --standardize"
+        )
     return IndexValue(value=value, n_nodes_used=n_nodes, region=region)
 
 

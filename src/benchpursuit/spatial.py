@@ -22,6 +22,8 @@ from .frames import _pickle_by_fields
 # ``index`` runs at the same time.
 _BLOCK_ELEMS = 1 << 16
 
+_EPS = float(np.finfo(float).eps)
+
 # Halvings of a Newton step that does not lower the objective before the
 # Weiszfeld step is taken instead.
 _HALVINGS = 4
@@ -227,7 +229,11 @@ def spatial_median(sample, tol: float = 1e-8, max_iter: int = 1000) -> SpatialMe
     points outside its coincidence cluster does not exceed the cluster size.
     Coincidence is judged with a small tolerance relative to the coordinate
     scale. Convergence is declared on the norm of the objective subgradient,
-    the pull net of the coincident multiplicity.
+    the pull net of the coincident multiplicity: ``converged`` means that
+    norm reached max(``tol``, its rounding floor). The floor is the
+    subgradient's own rounding error, eps x sum((|c_i|_1 + |t|_1) / dist_i)
+    in scaled units, which a tolerance near 1e-12 can lie below when the
+    minimizer is close to a data point.
 
     The offsets from the iterate are held as one (d, m) array, so each pass
     over the points is d contiguous rows and the pull and Hessian are
@@ -262,6 +268,7 @@ def _newton_median(pts: np.ndarray, scale: float, tol: float, max_iter: int):
         return t, 0.0, 0, True
 
     snap = 1e-13 * float(np.abs(cols).max())
+    spans = np.abs(cols).sum(axis=0)  # |c_i|_1, for the rounding floor below
     diff = cols - t[:, None]
     dist = _lengths(diff)
     reach = 0.0  # length of the longest step proposed last iteration
@@ -289,14 +296,19 @@ def _newton_median(pts: np.ndarray, scale: float, tol: float, max_iter: int):
         pull = diff @ inv
         r = float(np.linalg.norm(pull))
         gnorm = max(r - eta, 0.0) if eta else r
-        if gnorm <= tol:
+        inv_sum = inv.sum()
+        # Below its rounding floor, eps * sum((|c_i|_1 + |t|_1) / dist_i), the
+        # computed subgradient is noise and no step can shrink it further.
+        # Not np.dot: on a 2-vCPU VM, OpenBLAS took 4-8 ms for a dot product
+        # of two 40 000-vectors, and (a * b).sum() 0.05 ms.
+        if gnorm <= tol or gnorm <= _EPS * ((spans * inv).sum() + np.abs(t).sum() * inv_sum):
             loc = (pts[coincident] * scale).mean(axis=0) if eta else t
             return loc, gnorm, it, True
         if it == max_iter:
             break
         reach = 0.0
         if not eta:
-            hess = inv.sum() * np.eye(d) - (diff * inv**3) @ diff.T
+            hess = inv_sum * np.eye(d) - (diff * inv**3) @ diff.T
             w, v = np.linalg.eigh(hess)
             if w[0] > 1e-8 * w[-1]:
                 step = v @ ((v.T @ pull) / w)
@@ -319,7 +331,7 @@ def _newton_median(pts: np.ndarray, scale: float, tol: float, max_iter: int):
                 if new_t is not None:
                     t, diff, dist = new_t, new_diff, new_dist
                     continue
-        target = (cols @ inv) / inv.sum()
+        target = (cols @ inv) / inv_sum
         if eta:
             beta = min(1.0, eta / r)
             target = (1.0 - beta) * target + beta * t

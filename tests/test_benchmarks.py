@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import benchpursuit as bp
 from benchpursuit import BenchmarkSpec, DataMatrix
-from benchpursuit.benchmarks import GENERATORS, LcgState, lcg_next, lcg_state
+from benchpursuit.benchmarks import GENERATORS
 from benchpursuit.errors import (
     ConfigError,
     DimensionMismatch,
@@ -18,42 +20,50 @@ MINSTD_MODULUS = 2**31 - 1
 
 class TestLcgCore:
     def test_randu_first_values(self):
-        state = lcg_state("randu", 1)
-        values = []
-        for _ in range(3):
-            value, state = lcg_next(state)
-            values.append(value)
-        assert values == [65539, 393225, 1769499]
+        x = bp.lcg_triplets("randu", seed=1, n=1)
+        assert x.values[0].tolist() == [v / RANDU_MODULUS for v in (65539, 393225, 1769499)]
 
     def test_minstd_first_values(self):
-        state = lcg_state("minstd", 1)
-        values = []
-        for _ in range(3):
-            value, state = lcg_next(state)
-            values.append(value)
-        assert values == [16807, 282475249, 1622650073]
+        x = bp.lcg_triplets("minstd", seed=1, n=1)
+        expected = [v / MINSTD_MODULUS for v in (16807, 282475249, 1622650073)]
+        assert x.values[0].tolist() == expected
 
     def test_generator_table(self):
         assert GENERATORS["randu"] == (RANDU_MODULUS, 65539)
         assert GENERATORS["minstd"] == (MINSTD_MODULUS, 16807)
 
     def test_matches_closed_form_oracle(self):
-        """Spot-check iterates against modular exponentiation."""
+        """Spot-check draws against modular exponentiation."""
         for name, (modulus, mult) in GENERATORS.items():
-            state = lcg_state(name, 1)
+            draws = bp.lcg_triplets(name, seed=1, n=67).values.ravel()
             for step in range(1, 201):
-                _, state = lcg_next(state)
-                assert state.state == lcg_closed_form(mult, modulus, 1, step), (name, step)
+                expected = lcg_closed_form(mult, modulus, 1, step) / modulus
+                assert draws[step - 1] == expected, (name, step)
+
+    @given(st.sampled_from(sorted(GENERATORS)), st.data(), st.integers(1, 50))
+    @settings(max_examples=25, deadline=None)
+    def test_any_seed_matches_closed_form_oracle(self, name, data, n):
+        """Entry (r, c) is draw 3r + c + 1 over the modulus, for any valid seed."""
+        modulus, mult = GENERATORS[name]
+        seed = data.draw(st.integers(1, modulus - 1), label="seed")
+        x = bp.lcg_triplets(name, seed=seed, n=n)
+        expected = [
+            [lcg_closed_form(mult, modulus, seed, 3 * r + c + 1) / modulus for c in range(3)]
+            for r in range(n)
+        ]
+        assert x.values.tolist() == expected
 
     def test_unknown_generator(self):
         with pytest.raises(ConfigError):
-            lcg_state("mersenne", 1)
+            bp.lcg_triplets("mersenne", seed=1, n=1)
 
     def test_seed_range_validation(self):
         with pytest.raises(ValueError):
-            LcgState(modulus=RANDU_MODULUS, multiplier=65539, state=0)
+            bp.lcg_triplets("randu", seed=0, n=1)
         with pytest.raises(ValueError):
-            lcg_state("randu", RANDU_MODULUS)
+            bp.lcg_triplets("randu", seed=RANDU_MODULUS, n=1)
+        with pytest.raises(ValueError):
+            bp.lcg_triplets("minstd", seed=MINSTD_MODULUS, n=1)
 
 
 class TestLcgTriplets:
@@ -63,13 +73,12 @@ class TestLcgTriplets:
         assert x.column_names == ("x1", "x2", "x3")
 
     def test_values_are_consecutive_scaled(self):
-        """Row r holds draws 3r, 3r+1, 3r+2 divided by the modulus."""
+        """Row r holds draws 3r+1, 3r+2, 3r+3 divided by the modulus."""
         x = bp.lcg_triplets("randu", seed=1, n=2)
-        state = lcg_state("randu", 1)
-        raw = []
+        state, raw = 1, []
         for _ in range(6):
-            value, state = lcg_next(state)
-            raw.append(value)
+            state = 65539 * state % RANDU_MODULUS
+            raw.append(state)
         expected = np.array(raw, dtype=np.int64).reshape(2, 3) / RANDU_MODULUS
         assert np.array_equal(x.values, expected)
 
@@ -194,6 +203,24 @@ class TestBenchmarkSpec:
         spec = BenchmarkSpec.from_dict({"kind": "lcg", "generator": "randu", "seed": 1,
                                         "n_rows": None})
         assert spec.n_rows is None
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"kind": "lcg", "generator": "randu", "seed": 0},
+            {"kind": "lcg", "generator": "randu", "seed": RANDU_MODULUS},
+            {"kind": "lcg", "generator": "MINSTD", "seed": MINSTD_MODULUS},
+            {"kind": "permutation", "seed": -1},
+        ],
+    )
+    def test_seed_out_of_range(self, fields):
+        with pytest.raises(ConfigError, match="seed must be"):
+            BenchmarkSpec(**fields)
+
+    def test_seed_range_ends_accepted(self):
+        BenchmarkSpec(kind="lcg", generator="randu", seed=RANDU_MODULUS - 1)
+        BenchmarkSpec(kind="lcg", generator="minstd", seed=MINSTD_MODULUS - 1)
+        BenchmarkSpec(kind="permutation", seed=0)
 
     def test_missing_requirements(self):
         with pytest.raises(ConfigError):

@@ -253,6 +253,20 @@ class TestRunCommand:
         args[args.index("permute:7")] = "magic:1"
         assert main(args) == 1
 
+    @pytest.mark.parametrize("flag", ["lcg:randu,0", "lcg:minstd,2147483647", "permute:-1"])
+    def test_benchmark_seed_out_of_range_exits_1(self, tmp_path, capsys, flag):
+        """Rejected with the other settings, before the data is read."""
+        data = tmp_path / "randu.csv"
+        write_csv(lcg_triplets("randu", seed=1, n=20), data)
+        out = tmp_path / "o"
+        code = main(["run", "--data", str(data), "--benchmark", flag, "--out", str(out),
+                     "--restarts", "1", "--iterations", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "seed must be" in err
+        assert not (out / "report.json").exists()
+
     def test_bad_flag_value(self, data_csv, tmp_path):
         assert main(_run_args(data_csv, tmp_path / "o", "--restarts", "0")) == 1
 

@@ -150,6 +150,14 @@ class TestStandardize:
         assert np.abs(z.values.mean(axis=0)).max() < 1e-12
         assert np.abs(z.values.std(axis=0, ddof=1) - 1.0).max() < 1e-12
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_extreme_scales(self, rng, scale):
+        """Squares of such columns underflow or overflow unless rescaled first."""
+        v = rng.standard_normal((50, 2))
+        z = standardize_columns(DataMatrix(v * scale, ("a", "b")))
+        assert np.allclose(z.values, standardize_columns(DataMatrix(v, ("a", "b"))).values,
+                           rtol=1e-12, atol=1e-12)
+
     def test_constant_column_centered_only(self):
         x = DataMatrix(np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]), ("a", "b"))
         z = standardize_columns(x)

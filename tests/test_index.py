@@ -134,6 +134,18 @@ class TestIndexOverflow:
         with pytest.raises(bp.NonFiniteValue, match="integration ball"):
             bp.index(ProjectionFrame(np.eye(2)), *big)
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-300])
+    def test_index_below_the_smallest_normal_float_raises(self, scale):
+        x, y = _instance(seed=2)
+        tiny = [DataMatrix(m.values * scale, m.column_names) for m in (x, y)]
+        with pytest.raises(bp.NonFiniteValue, match="--standardize"):
+            bp.index(ProjectionFrame(np.eye(2)), *tiny)
+
+    def test_identical_tiny_samples_score_exactly_zero(self):
+        x, _ = _instance(seed=2)
+        tiny = DataMatrix(x.values * 1e-300, x.column_names)
+        assert float(bp.index(ProjectionFrame(np.eye(2)), tiny, tiny)) == 0.0
+
     def test_projection_beyond_the_largest_float_raises(self):
         x = DataMatrix([[1.5e308, 1.5e308], [0.0, 1.0]], ("a", "b"))
         f = ProjectionFrame(np.full((2, 1), np.sqrt(0.5)))
