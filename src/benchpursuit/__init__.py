@@ -15,24 +15,7 @@ from .benchmarks import (
     permutation_benchmark,
 )
 from .dataio import filter_rows, fmt_float, ingest_csv, standardize_columns, write_csv
-from .errors import (
-    ConfigError,
-    DataError,
-    DimensionMismatch,
-    EmptyPartition,
-    EmptyResult,
-    EmptySelection,
-    IndexOutOfRange,
-    MissingColumn,
-    NonFiniteValue,
-    ParseError,
-    PipelineError,
-    PursuitError,
-    RankDeficient,
-    UnknownColumn,
-    UnknownLabel,
-    UnsupportedDimension,
-)
+from .errors import ConfigError, DataError, PipelineError, PursuitError
 from .frames import (
     DataMatrix,
     ProjectedSample,
@@ -90,24 +73,15 @@ __all__ = [
     "ConfigError",
     "DataError",
     "DataMatrix",
-    "DimensionMismatch",
-    "EmptyPartition",
-    "EmptyResult",
-    "EmptySelection",
     "GENERATORS",
     "GeodesicConfig",
     "IndexConfig",
-    "IndexOutOfRange",
     "IndexValue",
     "MAX_DIMENSION",
-    "MissingColumn",
-    "NonFiniteValue",
-    "ParseError",
     "PipelineError",
     "ProjectedSample",
     "ProjectionFrame",
     "PursuitError",
-    "RankDeficient",
     "RegionSpec",
     "RunManifest",
     "SearchConfig",
@@ -116,9 +90,6 @@ __all__ = [
     "SolutionReport",
     "SpatialMedianResult",
     "SplitProjection",
-    "UnknownColumn",
-    "UnknownLabel",
-    "UnsupportedDimension",
     "anneal_search",
     "ball_volume",
     "build_benchmark",

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dataio import ingest_csv
-from .errors import ConfigError, DimensionMismatch, EmptyPartition, UnknownColumn
+from .errors import ConfigError, DataError
 from .frames import DataMatrix, subset_rows
 from .jsonconfig import build
 
@@ -69,7 +69,7 @@ def class_split(x: DataMatrix, label_column: str, level: str) -> tuple[DataMatri
     row labels.
     """
     if x.row_labels is None or x.label_name != label_column:
-        raise UnknownColumn(
+        raise DataError(
             f"'{label_column}' is not the designated label column"
             + (f" ('{x.label_name}')" if x.label_name else " (none present)")
         )
@@ -77,9 +77,9 @@ def class_split(x: DataMatrix, label_column: str, level: str) -> tuple[DataMatri
     in_level = [i for i, lab in enumerate(x.row_labels) if lab == level]
     rest = [i for i, lab in enumerate(x.row_labels) if lab != level]
     if not in_level:
-        raise EmptyPartition(f"no rows have {label_column} == '{level}'")
+        raise DataError(f"no rows have {label_column} == '{level}'")
     if not rest:
-        raise EmptyPartition(f"every row has {label_column} == '{level}'")
+        raise DataError(f"every row has {label_column} == '{level}'")
     return subset_rows(x, in_level), subset_rows(x, rest)
 
 
@@ -142,7 +142,7 @@ def build_benchmark(spec: BenchmarkSpec, x: DataMatrix) -> tuple[DataMatrix, Dat
     if spec.kind == "external":
         y = ingest_csv(spec.path)
         if y.p != x.p:
-            raise DimensionMismatch(f"benchmark has {y.p} columns but data has {x.p}")
+            raise DataError(f"benchmark has {y.p} columns but data has {x.p}")
         return x, y
     if spec.kind == "permutation":
         return x, permutation_benchmark(x, spec.seed)
@@ -150,6 +150,6 @@ def build_benchmark(spec: BenchmarkSpec, x: DataMatrix) -> tuple[DataMatrix, Dat
         return class_split(x, spec.label_column, spec.level)
     # lcg
     if x.p != 3:
-        raise DimensionMismatch(f"lcg triplets have 3 columns but data has {x.p}")
+        raise DataError(f"lcg triplets have 3 columns but data has {x.p}")
     n = spec.n_rows if spec.n_rows is not None else x.n
     return x, lcg_triplets(spec.generator, spec.seed, n)

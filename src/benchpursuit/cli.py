@@ -3,8 +3,9 @@
 Subcommands: ``run`` (full pipeline from a manifest and/or flags),
 ``filter`` (row filtering for follow-up runs), and ``split`` (row-norm
 split of a finished solution). Exit codes: 0 success, 1 usage or
-configuration error, 2 data error, 3 numerical non-convergence (outputs
-are still written).
+configuration error, 2 data error or a run in which every restart failed,
+3 numerical non-convergence (outputs are still written in both of the
+last two cases).
 """
 
 from __future__ import annotations
@@ -146,6 +147,10 @@ def _cmd_run(args) -> int:
         )
     if report.degenerate:
         print("degenerate run: every solution scored exactly zero")
+    if not report.solutions:
+        print(f"error: every restart failed (0/{report.restarts_requested} completed)",
+              file=sys.stderr)
+        return 2
     if report.nonconverged:
         print("warning: spatial median did not converge for at least one solution",
               file=sys.stderr)

@@ -8,15 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    EmptyResult,
-    EmptySelection,
-    IndexOutOfRange,
-    MissingColumn,
-    NonFiniteValue,
-    ParseError,
-    UnknownLabel,
-)
+from .errors import DataError
 from .frames import DataMatrix, subset_rows
 
 
@@ -25,33 +17,42 @@ def fmt_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _decoded_lines(fh, path):
+    """The lines of the text file ``fh``; a byte that is not UTF-8 raises DataError."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as err:
+        bad = err.object[err.start]
+        raise DataError(f"{path}: not UTF-8 text (byte {bad:#04x}: {err.reason})") from None
+
+
 def ingest_csv(path, label_column: str | None = None) -> DataMatrix:
     """Read a headed CSV into a :class:`DataMatrix`.
 
     Every cell outside the optional label column must parse as a finite
     decimal number; the label column is held as row labels and excluded from
-    the numeric values. Errors carry the 1-based line number and column name.
-    A leading UTF-8 byte-order mark, as spreadsheet programs write, is skipped.
+    the numeric values. Error messages name the file, the 1-based line and
+    the column. A leading UTF-8 byte-order mark, as spreadsheet programs
+    write, is skipped; a file that is not UTF-8 text raises :class:`DataError`.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_decoded_lines(fh, path))
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
-            raise ParseError(f"{path}: empty file", line=1) from None
+            raise DataError(f"{path}: empty file") from None
         repeated = next((h for j, h in enumerate(header) if h in header[:j]), None)
         if repeated is not None:
-            raise ParseError(f"{path}:1: column '{repeated}' appears more than once", line=1,
-                             column=repeated)
+            raise DataError(f"{path}:1: column '{repeated}' appears more than once")
         label_idx: int | None = None
         if label_column is not None:
             if label_column not in header:
-                raise MissingColumn(f"no column '{label_column}' in {path}")
+                raise DataError(f"no column '{label_column}' in {path}")
             label_idx = header.index(label_column)
         numeric_idx = [j for j in range(len(header)) if j != label_idx]
         if not numeric_idx:
-            raise ParseError(f"{path}:1: no numeric column", line=1)
+            raise DataError(f"{path}:1: no numeric column")
         names = tuple(header[j] for j in numeric_idx)
 
         rows: list[list[float]] = []
@@ -60,23 +61,18 @@ def ingest_csv(path, label_column: str | None = None) -> DataMatrix:
             if not row or all(cell.strip() == "" for cell in row):
                 continue
             if len(row) != len(header):
-                raise ParseError(
-                    f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}",
-                    line=line_no,
-                )
+                raise DataError(f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}")
             parsed = []
             for j in numeric_idx:
                 cell = row[j].strip()
                 try:
                     value = float(cell)
                 except ValueError:
-                    raise ParseError(
-                        f"{path}:{line_no}: column '{header[j]}': cannot parse '{cell}'",
-                        line=line_no,
-                        column=header[j],
+                    raise DataError(
+                        f"{path}:{line_no}: column '{header[j]}': cannot parse '{cell}'"
                     ) from None
                 if not math.isfinite(value):
-                    raise NonFiniteValue(
+                    raise DataError(
                         f"{path}:{line_no}: column '{header[j]}': non-finite value '{cell}'"
                     )
                 parsed.append(value)
@@ -84,7 +80,7 @@ def ingest_csv(path, label_column: str | None = None) -> DataMatrix:
             if label_idx is not None:
                 labels.append(row[label_idx].strip())
     if not rows:
-        raise ParseError(f"{path}: no data rows", line=1)
+        raise DataError(f"{path}: no data rows")
     return DataMatrix(
         values=np.array(rows, dtype=float),
         column_names=names,
@@ -151,8 +147,8 @@ def filter_rows(
 
     Exactly one of ``labels`` (matched against the row labels) and
     ``indices`` (0-based row numbers) must be given; ``mode`` is "keep" or
-    "remove". Raises :class:`UnknownLabel` for labels absent from the data
-    and :class:`EmptyResult` if nothing remains.
+    "remove". Raises :class:`DataError` for labels absent from the data,
+    indices out of range, or if nothing remains.
     """
     if (labels is None) == (indices is None):
         raise ValueError("give exactly one of labels= or indices=")
@@ -160,24 +156,23 @@ def filter_rows(
         raise ValueError(f"mode must be 'keep' or 'remove', got '{mode}'")
     if labels is not None:
         if data.row_labels is None:
-            raise UnknownLabel("data has no label column to match against")
+            raise DataError("data has no label column to match against")
         wanted = {str(lab) for lab in labels}
         present = set(data.row_labels)
         missing = sorted(wanted - present)
         if missing:
-            raise UnknownLabel(f"labels not present in data: {missing}")
+            raise DataError(f"labels not present in data: {missing}")
         selected = [i for i, lab in enumerate(data.row_labels) if lab in wanted]
     else:
         selected = sorted({int(i) for i in indices})
         if selected and (selected[0] < 0 or selected[-1] >= data.n):
             bad = selected[0] if selected[0] < 0 else selected[-1]
-            raise IndexOutOfRange(f"row index {bad} outside [0, {data.n - 1}]")
+            raise DataError(f"row index {bad} outside [0, {data.n - 1}]")
     if mode == "keep":
         final = selected
     else:
         chosen = set(selected)
         final = [i for i in range(data.n) if i not in chosen]
-    try:
-        return subset_rows(data, final)
-    except EmptySelection:
-        raise EmptyResult(f"filter (mode={mode}) removed every row") from None
+    if not final:
+        raise DataError(f"filter (mode={mode}) removed every row")
+    return subset_rows(data, final)

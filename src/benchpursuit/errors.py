@@ -1,8 +1,11 @@
 """Exception taxonomy shared across the package.
 
-``ConfigError`` covers bad settings and unsupported requests (CLI exit 1),
-``DataError`` covers problems with the data itself (CLI exit 2). Numerical
-non-convergence is reported through result flags, not exceptions.
+One class stands for each CLI exit code: ``ConfigError`` covers bad
+settings and unsupported requests (exit 1), ``DataError`` covers problems
+with the data itself (exit 2). The message says which problem it is.
+``PipelineError`` names the stage a failure happened in and keeps its
+cause, whose class decides the exit code. Numerical non-convergence is
+reported through result flags (exit 3), not exceptions.
 """
 
 from __future__ import annotations
@@ -13,64 +16,11 @@ class PursuitError(Exception):
 
 
 class ConfigError(PursuitError):
-    """Invalid configuration, flags, or manifest contents."""
-
-
-class UnsupportedDimension(ConfigError):
-    """A dimension outside the implemented range was requested."""
+    """Invalid configuration, flags, or manifest contents (exit 1)."""
 
 
 class DataError(PursuitError):
-    """The supplied data cannot be used as requested."""
-
-
-class RankDeficient(DataError):
-    """Matrix columns are linearly dependent beyond tolerance."""
-
-
-class DimensionMismatch(DataError):
-    """Shapes of two objects that must agree do not."""
-
-
-class NonFiniteValue(DataError):
-    """A NaN or infinite value where only finite reals are allowed."""
-
-
-class EmptySelection(DataError):
-    """A row selection resolved to no rows."""
-
-
-class IndexOutOfRange(DataError):
-    """A row index outside the valid range."""
-
-
-class ParseError(DataError):
-    """A CSV cell failed to parse; carries the 1-based line and column name."""
-
-    def __init__(self, message: str, line: int | None = None, column: str | None = None):
-        super().__init__(message)
-        self.line = line
-        self.column = column
-
-
-class MissingColumn(DataError):
-    """A named column is absent from the file header."""
-
-
-class UnknownColumn(DataError):
-    """A named column does not match the designated label column."""
-
-
-class EmptyPartition(DataError):
-    """A class split left one side without any rows."""
-
-
-class UnknownLabel(DataError):
-    """A requested label value does not occur in the data."""
-
-
-class EmptyResult(DataError):
-    """A filter removed every row."""
+    """The supplied data cannot be used as requested (exit 2)."""
 
 
 class PipelineError(PursuitError):

@@ -7,14 +7,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    EmptySelection,
-    IndexOutOfRange,
-    NonFiniteValue,
-    RankDeficient,
-)
+from .errors import ConfigError, DataError
 
 # Orthonormality tolerance for frames and the rank test in orthonormalize.
 ORTHO_TOL = 1e-10
@@ -57,7 +50,7 @@ class DataMatrix:
         if n < 1 or p < 1:
             raise ValueError("need at least one row and one column")
         if not np.all(np.isfinite(values)):
-            raise NonFiniteValue("data contains NaN or infinite entries")
+            raise DataError("data contains NaN or infinite entries")
         names = tuple(str(c) for c in self.column_names)
         if len(names) != p:
             raise ValueError(f"expected {p} column names, got {len(names)}")
@@ -101,7 +94,7 @@ class ProjectionFrame:
         if not 1 <= d <= p:
             raise ValueError(f"need 1 <= d <= p, got p={p}, d={d}")
         if not np.all(np.isfinite(m)):
-            raise NonFiniteValue("frame contains NaN or infinite entries")
+            raise DataError("frame contains NaN or infinite entries")
         gram_err = float(np.max(np.abs(m.T @ m - np.eye(d))))
         if gram_err > ORTHO_TOL:
             raise ValueError(f"columns not orthonormal (error {gram_err:.3e})")
@@ -132,7 +125,7 @@ class ProjectedSample:
         if pts.ndim != 2:
             raise ValueError("points must be a 2-d array")
         if not np.all(np.isfinite(pts)):
-            raise NonFiniteValue("projected points contain NaN or infinite entries")
+            raise DataError("projected points contain NaN or infinite entries")
         object.__setattr__(self, "points", _readonly(pts))
 
     @property
@@ -164,7 +157,7 @@ def orthonormalize(raw) -> ProjectionFrame:
     the operation idempotent bit for bit.
 
     Raises:
-        RankDeficient: if the columns are linearly dependent beyond
+        DataError: if the columns are linearly dependent beyond
             tolerance ``ORTHO_TOL`` relative to the column scale.
     """
     m = np.array(np.asarray(raw, dtype=float))
@@ -174,9 +167,9 @@ def orthonormalize(raw) -> ProjectionFrame:
     if d < 1 or p < 1:
         raise ValueError("matrix must be nonempty")
     if d > p:
-        raise RankDeficient(f"{d} columns of length {p} cannot be independent")
+        raise DataError(f"{d} columns of length {p} cannot be independent")
     if not np.all(np.isfinite(m)):
-        raise NonFiniteValue("matrix contains NaN or infinite entries")
+        raise DataError("matrix contains NaN or infinite entries")
 
     if float(np.max(np.abs(m.T @ m - np.eye(d)))) <= ORTHO_TOL:
         return ProjectionFrame(_sign_fixed(m))
@@ -190,7 +183,7 @@ def orthonormalize(raw) -> ProjectionFrame:
                 v -= (q[:, i] @ v) * q[:, i]
         nv = float(np.linalg.norm(v))
         if nv <= ORTHO_TOL * col_scale[j]:
-            raise RankDeficient(f"column {j} is linearly dependent on earlier columns")
+            raise DataError(f"column {j} is linearly dependent on earlier columns")
         q[:, j] = v / nv
     return ProjectionFrame(_sign_fixed(q))
 
@@ -198,7 +191,7 @@ def orthonormalize(raw) -> ProjectionFrame:
 def project(data: DataMatrix, frame: ProjectionFrame, source: str = "data") -> ProjectedSample:
     """Project the rows of ``data`` through ``frame``."""
     if data.p != frame.p:
-        raise DimensionMismatch(f"data has {data.p} columns but frame has {frame.p} rows")
+        raise DataError(f"data has {data.p} columns but frame has {frame.p} rows")
     return ProjectedSample(points=data.values @ frame.matrix, source=source)
 
 
@@ -230,10 +223,10 @@ def subset_rows(data: DataMatrix, rows) -> DataMatrix:
     """
     idx = sorted({int(r) for r in rows})
     if len(idx) == 0:
-        raise EmptySelection("no rows selected")
+        raise DataError("no rows selected")
     if idx[0] < 0 or idx[-1] >= data.n:
         bad = idx[0] if idx[0] < 0 else idx[-1]
-        raise IndexOutOfRange(f"row index {bad} outside [0, {data.n - 1}]")
+        raise DataError(f"row index {bad} outside [0, {data.n - 1}]")
     labels = None
     if data.row_labels is not None:
         labels = tuple(data.row_labels[i] for i in idx)

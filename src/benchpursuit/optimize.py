@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, PursuitError
+from .errors import DataError, PursuitError
 from .frames import ProjectionFrame, orthonormalize
 from . import projection_index
 from .projection_index import IndexConfig, IndexValue, _cpus, index
@@ -337,7 +337,7 @@ def run_search(
     identically. Results are sorted by descending search index with ties
     broken by restart id; near-duplicate spans are flagged. A restart that
     fails numerically is logged and skipped; a ``d`` outside [1, p] raises
-    :class:`DimensionMismatch` before the first restart.
+    :class:`DataError` before the first restart.
 
     When there are several restarts, the process may run on two or more
     CPUs and the estimated work reaches ``_POOL_PAIRS``, the restarts run on
@@ -348,7 +348,7 @@ def run_search(
     their own, outside this process's resident set.
     """
     if not 1 <= d <= x.p:
-        raise DimensionMismatch(f"d must be in [1, {x.p}] for {x.p} data columns, got {d}")
+        raise DataError(f"d must be in [1, {x.p}] for {x.p} data columns, got {d}")
     idx_cfg = idx_cfg if idx_cfg is not None else IndexConfig()
     search_cfg = search_cfg if search_cfg is not None else SearchConfig()
 

@@ -18,9 +18,7 @@ import numpy as np
 
 from .benchmarks import BenchmarkSpec, build_benchmark
 from .dataio import fmt_float, ingest_csv, standardize_columns
-from .errors import (
-    ConfigError, DimensionMismatch, IndexOutOfRange, PipelineError, UnsupportedDimension,
-)
+from .errors import ConfigError, DataError, PipelineError
 from .frames import DataMatrix, ProjectedSample, ProjectionFrame, project, split_by_row_norm
 from .jsonconfig import build
 from .optimize import SearchConfig, SolutionProjection, run_search
@@ -48,7 +46,7 @@ class RunManifest:
 
     def __post_init__(self):
         if not 1 <= self.dim <= 3:
-            raise UnsupportedDimension(f"dim must be 1, 2 or 3, got {self.dim}")
+            raise ConfigError(f"dim must be 1, 2 or 3, got {self.dim}")
 
     def to_dict(self) -> dict:
         out = {}
@@ -76,7 +74,7 @@ class RunManifest:
     def load(cls, path) -> "RunManifest":
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # also a file that is not UTF-8 text
             raise ConfigError(f"manifest {path} is not valid JSON: {err}") from err
         return cls.from_dict(raw)
 
@@ -235,9 +233,10 @@ class SolutionReport:
 
     @classmethod
     def load(cls, path) -> "SolutionReport":
-        text = Path(path).read_text(encoding="utf-8")
         try:
-            return cls._from_dict(json.loads(text))
+            return cls._from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{path} is not UTF-8 text: {err}") from err
         except (KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"{path} is not a benchpursuit report: {err!r}") from err
 
@@ -405,15 +404,16 @@ def split_and_project(
     defaults to the manifest's ingested (and, if configured, standardized)
     dataset. The views are written into the manifest's ``out_dir``.
     """
+    if not report.solutions:
+        raise DataError(f"the report has no solutions: every restart failed "
+                        f"(0/{report.restarts_requested} completed)")
     if not 0 <= solution_id < len(report.solutions):
-        raise IndexOutOfRange(
-            f"solution {solution_id} outside [0, {len(report.solutions) - 1}]"
-        )
+        raise DataError(f"solution {solution_id} outside [0, {len(report.solutions) - 1}]")
     frame = report.solutions[solution_id].frame
     if data is None:
         data = _load_input(report.manifest)
     if data.p != frame.p:
-        raise DimensionMismatch(f"data has {data.p} columns but frame has {frame.p} rows")
+        raise DataError(f"data has {data.p} columns but frame has {frame.p} rows")
     low, high = split_by_row_norm(frame, threshold)
     used_threshold = threshold if threshold is not None else math.sqrt(frame.d / frame.p)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteValue, UnsupportedDimension
+from .errors import ConfigError, DataError
 from .frames import DataMatrix, ProjectionFrame
 from .sobol import MAX_POINTS, SobolStream
 from .spatial import RegionSpec, combined_region, estimate_sdf_batch
@@ -123,7 +123,7 @@ def map_to_ball(u, region: RegionSpec) -> np.ndarray:
     pts = np.atleast_2d(arr)
     d = pts.shape[1]
     if d != region.dim:
-        raise DimensionMismatch(f"nodes have d={d} but region has d={region.dim}")
+        raise DataError(f"nodes have d={d} but region has d={region.dim}")
     radius = region.effective_radius
     if d == 1:
         out = radius * (2.0 * pts - 1.0)
@@ -140,7 +140,7 @@ def map_to_ball(u, region: RegionSpec) -> np.ndarray:
             [rho * sin_phi * np.cos(theta), rho * sin_phi * np.sin(theta), rho * cos_phi]
         )
     else:
-        raise UnsupportedDimension(f"ball map implemented for d <= 3, got d={d}")
+        raise ConfigError(f"ball map implemented for d <= 3, got d={d}")
     out = out + region.center
     return out[0] if single else out
 
@@ -175,7 +175,7 @@ def index(
     value has the same bits on either path.
 
     Raises:
-        NonFiniteValue: if the projections, the integration ball's volume or
+        DataError: if the projections, the integration ball's volume or
             the index itself is beyond the largest float, or if the samples
             differ but the index is below the smallest normal float.
     """
@@ -184,16 +184,16 @@ def index(
     if n_nodes < 1:
         raise ValueError("node counts must be at least 1")
     if x.p != frame.p:
-        raise DimensionMismatch(f"data has {x.p} columns but frame has {frame.p} rows")
+        raise DataError(f"data has {x.p} columns but frame has {frame.p} rows")
     if y.p != frame.p:
-        raise DimensionMismatch(f"benchmark has {y.p} columns but frame has {frame.p} rows")
-    with np.errstate(over="ignore"):  # an overflow raises NonFiniteValue below
+        raise DataError(f"benchmark has {y.p} columns but frame has {frame.p} rows")
+    with np.errstate(over="ignore"):  # an overflow raises DataError below
         px = x.values @ frame.matrix
         py = y.values @ frame.matrix
     region = combined_region(px, py, cfg.k, tol=cfg.median_tol)
     volume = ball_volume(frame.d, region.effective_radius)
     if not math.isfinite(volume):
-        raise NonFiniteValue(f"the integration ball has radius {region.effective_radius:.3g}")
+        raise DataError(f"the integration ball has radius {region.effective_radius:.3g}")
     targets = region.center + region.effective_radius * _unit_ball_nodes(
         frame.d, cfg.sobol_skip, n_nodes
     )
@@ -211,9 +211,9 @@ def index(
     gap = float(np.linalg.norm(fx - fy, axis=1).mean())
     value = volume * gap
     if not math.isfinite(value):
-        raise NonFiniteValue(f"the index is {value} on a ball of volume {volume:.3g}")
+        raise DataError(f"the index is {value} on a ball of volume {volume:.3g}")
     if gap > 0.0 and value < sys.float_info.min:
-        raise NonFiniteValue(
+        raise DataError(
             f"the index underflows ({value:.3g}) on a ball of radius "
             f"{region.effective_radius:.3g}; rescale the data, e.g. with --standardize"
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import UnsupportedDimension
+from .errors import ConfigError
 
 _N_BITS = 32
 _SCALE = float(2**_N_BITS)
@@ -62,9 +62,7 @@ class SobolStream:
 
     def __init__(self, dimension: int, skip: int = 0):
         if not 1 <= dimension <= MAX_DIMENSION:
-            raise UnsupportedDimension(
-                f"dimension must be in [1, {MAX_DIMENSION}], got {dimension}"
-            )
+            raise ConfigError(f"dimension must be in [1, {MAX_DIMENSION}], got {dimension}")
         if skip < 0:
             raise ValueError("skip must be nonnegative")
         self.dimension = dimension

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteValue
+from .errors import DataError
 from .frames import _pickle_by_fields
 
 # Elements in a full (points, targets) tile of batch SDF evaluation. A call
@@ -100,13 +100,13 @@ def _pow2_scale(*arrays: np.ndarray) -> float:
     underflows, while squared offsets now do neither at any finite scale.
 
     Raises:
-        NonFiniteValue: if an array holds NaN or an infinity.
+        DataError: if an array holds NaN or an infinity.
     """
     top = 0.0
     for a in arrays:
         peak = float(np.abs(a).max()) if a.size else 0.0
         if not math.isfinite(peak):
-            raise NonFiniteValue("points contain NaN or infinite values")
+            raise DataError("points contain NaN or infinite values")
         top = max(top, peak)
     # Capped so that subnormal points get a finite scale.
     return math.ldexp(1.0, min(-math.frexp(top)[1], 1023)) if top else 1.0
@@ -148,7 +148,7 @@ def estimate_sdf_batch(sample, targets) -> np.ndarray:
     tgt = _points(targets)
     m, d = pts.shape
     if tgt.shape[1] != d:
-        raise DimensionMismatch(f"sample has d={d} but targets have d={tgt.shape[1]}")
+        raise DataError(f"sample has d={d} but targets have d={tgt.shape[1]}")
     scale = _pow2_scale(pts, tgt)
     pts, tgt = pts * scale, tgt * scale
     cols = [pts[:, j, None] for j in range(d)]
@@ -348,7 +348,7 @@ def data_radius(sample, center) -> float:
     pts = _points(sample)
     center = np.asarray(center, dtype=float).ravel()
     if center.size != pts.shape[1]:
-        raise DimensionMismatch(f"center has d={center.size} but sample has d={pts.shape[1]}")
+        raise DataError(f"center has d={center.size} but sample has d={pts.shape[1]}")
     scale = _pow2_scale(pts, center)
     return float(np.max(np.linalg.norm(pts * scale - center * scale, axis=1))) / scale
 
@@ -366,9 +366,7 @@ def combined_region(proj_x, proj_y, k: float, tol: float = 1e-8) -> RegionSpec:
     px = _points(proj_x)
     py = _points(proj_y)
     if px.shape[1] != py.shape[1]:
-        raise DimensionMismatch(
-            f"projected samples have d={px.shape[1]} and d={py.shape[1]}"
-        )
+        raise DataError(f"projected samples have d={px.shape[1]} and d={py.shape[1]}")
     if (len(py), py.tobytes()) < (len(px), px.tobytes()):
         px, py = py, px
     pooled = np.vstack([px, py])

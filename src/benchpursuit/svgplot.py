@@ -14,7 +14,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnsupportedDimension
+from .errors import ConfigError, DataError
 from .frames import ProjectedSample
 
 _PANEL = 340  # plot-area side in px
@@ -168,9 +168,9 @@ def emit_svg(samples, title: str = "") -> str:
         raise ValueError("need at least one sample")
     d = samples[0].d
     if any(s.d != d for s in samples):
-        raise DimensionMismatch("all samples must share the same dimension")
+        raise DataError("all samples must share the same dimension")
     if d not in (1, 2, 3):
-        raise UnsupportedDimension(f"plots implemented for d in {{1, 2, 3}}, got d={d}")
+        raise ConfigError(f"plots implemented for d in {{1, 2, 3}}, got d={d}")
     names = [f"c{i + 1}" for i in range(d)]
 
     pairs = {1: [(0, None)], 2: [(0, 1)], 3: [(0, 1), (0, 2), (1, 2)]}[d]

@@ -6,12 +6,7 @@ from hypothesis import strategies as st
 import benchpursuit as bp
 from benchpursuit import BenchmarkSpec, DataMatrix
 from benchpursuit.benchmarks import GENERATORS
-from benchpursuit.errors import (
-    ConfigError,
-    DimensionMismatch,
-    EmptyPartition,
-    UnknownColumn,
-)
+from benchpursuit.errors import ConfigError, DataError
 from oracles import lcg_closed_form
 
 RANDU_MODULUS = 2**31
@@ -149,18 +144,18 @@ class TestClassSplit:
         assert np.array_equal(level.values, x.values[[0, 2, 5]])
 
     def test_unknown_column(self):
-        with pytest.raises(UnknownColumn):
+        with pytest.raises(DataError, match=r"'group' is not the designated label column \('tissue"):
             bp.class_split(self._labeled(), "group", "t")
 
     def test_missing_level(self):
-        with pytest.raises(EmptyPartition):
+        with pytest.raises(DataError, match="no rows have tissue == 'q'"):
             bp.class_split(self._labeled(), "tissue", "q")
 
     def test_all_rows_in_level(self):
         x = DataMatrix(
             np.zeros((3, 2)), ("a", "b"), row_labels=("t", "t", "t"), label_name="tissue"
         )
-        with pytest.raises(EmptyPartition):
+        with pytest.raises(DataError, match="every row has tissue == 't'"):
             bp.class_split(x, "tissue", "t")
 
 
@@ -238,7 +233,7 @@ class TestBuildBenchmark:
 
     def test_lcg_kind_requires_three_columns(self, rng):
         x = DataMatrix(rng.standard_normal((10, 2)), ("a", "b"))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DataError, match="lcg triplets have 3 columns but data has 2"):
             bp.build_benchmark(BenchmarkSpec(kind="lcg", generator="randu", seed=1), x)
 
     def test_lcg_kind_row_default(self):
@@ -253,7 +248,7 @@ class TestBuildBenchmark:
         narrow = DataMatrix(rng.standard_normal((4, 2)), ("a", "b"))
         path = tmp_path / "bench.csv"
         write_csv(narrow, path)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DataError, match="benchmark has 2 columns but data has 3"):
             bp.build_benchmark(BenchmarkSpec(kind="external", path=str(path)), x)
 
     def test_class_split_kind(self):

@@ -579,6 +579,63 @@ def test_no_numeric_column_exits_2(tmp_path, monkeypatch, capsys, args):
     assert "onlylab.csv" in err
 
 
+@pytest.fixture
+def bad_inputs(tmp_path, monkeypatch):
+    """In a fresh working directory: a Latin-1 CSV, a JSON file holding byte
+    0xff, 60 x 3 data whose index underflows on every frame, and the report of
+    a run on that data in which every restart failed."""
+    monkeypatch.chdir(tmp_path)
+    rows = "".join(f"{i},{i % 7},{i % 3}\n" for i in range(30))
+    Path("latin1.csv").write_bytes(("caf\xe9,b,c\n" + rows).encode("latin-1"))
+    Path("ff.json").write_bytes(b'{"data": "\xff"}\n')
+    Path("idx.txt").write_text("0\n")
+    tiny = np.random.default_rng(5).standard_normal((60, 3)) * 1e-300
+    write_csv(DataMatrix(tiny, ("a", "b", "c")), "tiny.csv")
+    main(["run", "--data", "tiny.csv", "--benchmark", "permute:3", "--restarts", "2",
+          "--iterations", "3", "--out", "failed"])
+
+
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        (["filter", "--data", "latin1.csv", "--index-file", "idx.txt", "--out", "f.csv"], 2,
+         "error: latin1.csv: not UTF-8 text (byte 0xe9: invalid continuation byte)"),
+        (["run", "--manifest", "ff.json"], 1,
+         "error: manifest ff.json is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+        (["split", "--report", "ff.json"], 1,
+         "error: ff.json is not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+        (["run", "--data", "latin1.csv", "--benchmark", "permute:3", "--out", "o"], 2,
+         "error in stage 'ingest': latin1.csv: not UTF-8 text (byte 0xe9"),
+        (["run", "--data", "tiny.csv", "--benchmark", "file:latin1.csv", "--out", "o"], 2,
+         "error in stage 'benchmark': latin1.csv: not UTF-8 text (byte 0xe9"),
+        (["run", "--data", "tiny.csv", "--benchmark", "permute:3", "--restarts", "2",
+          "--iterations", "3", "--out", "o"], 2,
+         "error: every restart failed (0/2 completed)"),
+        (["split", "--report", "failed/report.json"], 2,
+         "error: the report has no solutions: every restart failed (0/2 completed)"),
+    ],
+    ids=["filter-latin1-data", "run-ff-manifest", "split-ff-report", "run-latin1-data",
+         "run-latin1-benchmark", "run-every-restart-fails", "split-report-without-solutions"],
+)
+def test_undecodable_file_or_failed_run_gives_one_error_line(bad_inputs, capsys, args, code,
+                                                             message):
+    assert main(args) == code
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+    assert len(errors) == 1 and errors[0].startswith(message)
+
+
+def test_run_where_every_restart_fails_writes_its_report(bad_inputs, capsys):
+    args = ["run", "--data", "tiny.csv", "--benchmark", "permute:3", "--restarts", "2",
+            "--iterations", "3", "--out", "o"]
+    assert main(args) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "wrote o/report.json (0/2 restarts)",
+        f"{'rank':>4} {'restart':>7} {'search':>12} {'refined':>12}  note",
+    ]
+    report = json.loads(Path("o/report.json").read_text())
+    assert (report["restarts_completed"], report["solutions"]) == (0, [])
+
+
 @pytest.mark.parametrize(
     "args", [["run", "--dim", "x"], ["run", "--optimizer", "bogus"], ["bogus"], []]
 )

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import benchpursuit as bp
 from benchpursuit import DataMatrix, IndexConfig, ProjectionFrame
-from benchpursuit.errors import UnsupportedDimension
+from benchpursuit.errors import ConfigError
 import benchpursuit.projection_index as projection_index
 import benchpursuit.spatial as spatial
 from benchpursuit.projection_index import ball_volume, map_to_ball
@@ -78,7 +78,7 @@ class TestMapToBall:
 
     def test_unsupported_dimension(self):
         region = RegionSpec(center=[0.0] * 4, base_radius=1.0, multiplier=1.0)
-        with pytest.raises(UnsupportedDimension):
+        with pytest.raises(ConfigError, match="ball map implemented for d <= 3, got d=4"):
             map_to_ball(np.zeros((2, 4)), region)
 
 
@@ -131,14 +131,14 @@ class TestIndexOverflow:
     def test_ball_beyond_the_largest_float_raises(self, scale):
         x, y = _instance(seed=2)
         big = [DataMatrix(m.values * scale, m.column_names) for m in (x, y)]
-        with pytest.raises(bp.NonFiniteValue, match="integration ball"):
+        with pytest.raises(bp.DataError, match="integration ball"):
             bp.index(ProjectionFrame(np.eye(2)), *big)
 
     @pytest.mark.parametrize("scale", [1e-160, 1e-300])
     def test_index_below_the_smallest_normal_float_raises(self, scale):
         x, y = _instance(seed=2)
         tiny = [DataMatrix(m.values * scale, m.column_names) for m in (x, y)]
-        with pytest.raises(bp.NonFiniteValue, match="--standardize"):
+        with pytest.raises(bp.DataError, match="--standardize"):
             bp.index(ProjectionFrame(np.eye(2)), *tiny)
 
     def test_identical_tiny_samples_score_exactly_zero(self):
@@ -149,7 +149,7 @@ class TestIndexOverflow:
     def test_projection_beyond_the_largest_float_raises(self):
         x = DataMatrix([[1.5e308, 1.5e308], [0.0, 1.0]], ("a", "b"))
         f = ProjectionFrame(np.full((2, 1), np.sqrt(0.5)))
-        with pytest.raises(bp.NonFiniteValue):
+        with pytest.raises(bp.DataError, match="points contain NaN or infinite values"):
             bp.index(f, x, x)
 
 

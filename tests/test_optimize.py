@@ -343,7 +343,7 @@ class TestRunSearch:
     @pytest.mark.parametrize("d", [0, 4])
     def test_dim_outside_data_columns_raises_before_any_restart(self, d):
         x, y = self._data()
-        with pytest.raises(bp.DimensionMismatch, match="3 data columns"):
+        with pytest.raises(bp.DataError, match="3 data columns"):
             bp.run_search(x, y, d=d, search_cfg=SearchConfig(restarts=2, max_iterations=2))
 
     def test_search_uses_configured_node_count(self):

@@ -8,13 +8,7 @@ import pytest
 from benchpursuit import spatial
 from benchpursuit.benchmarks import BenchmarkSpec
 from benchpursuit.dataio import write_csv
-from benchpursuit.errors import (
-    ConfigError,
-    DimensionMismatch,
-    IndexOutOfRange,
-    PipelineError,
-    UnsupportedDimension,
-)
+from benchpursuit.errors import ConfigError, DataError, PipelineError
 from benchpursuit.frames import DataMatrix, ProjectionFrame
 from benchpursuit.optimize import (
     AnnealConfig,
@@ -194,11 +188,11 @@ class TestRunManifest:
 
     @pytest.mark.parametrize("dim", [0, 4])
     def test_dim_outside_1_to_3_rejected(self, tmp_path, dim):
-        with pytest.raises(UnsupportedDimension, match="dim must be 1, 2 or 3"):
+        with pytest.raises(ConfigError, match="dim must be 1, 2 or 3"):
             _tiny_manifest(tmp_path, "data.csv", dim=dim)
         raw = _tiny_manifest(tmp_path, "data.csv").to_dict()
         raw["dim"] = dim
-        with pytest.raises(UnsupportedDimension):
+        with pytest.raises(ConfigError, match=f"dim must be 1, 2 or 3, got {dim}"):
             RunManifest.from_dict(raw)
 
     def test_load_invalid_json(self, tmp_path):
@@ -398,14 +392,14 @@ class TestSplitAndProject:
     def test_solution_out_of_range(self, tmp_path, rng):
         matrix = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         report, x = self._report_with_frame(tmp_path, rng, matrix)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(DataError, match=r"solution 1 outside \[0, 0\]"):
             split_and_project(report, 1, data=x)
 
     def test_dimension_mismatch(self, tmp_path, rng):
         matrix = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         report, _ = self._report_with_frame(tmp_path, rng, matrix)
         wrong = DataMatrix(rng.standard_normal((5, 4)), ("a", "b", "c", "d"))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DataError, match="data has 4 columns but frame has 3 rows"):
             split_and_project(report, 0, data=wrong)
 
     def test_default_data_from_manifest(self, tmp_path, rng):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from benchpursuit.errors import UnsupportedDimension
+from benchpursuit.errors import ConfigError
 from benchpursuit.sobol import MAX_POINTS, SobolStream
 
 scipy_qmc = pytest.importorskip("scipy.stats.qmc")
@@ -60,9 +60,9 @@ class TestStreamBehavior:
         assert SobolStream(2).take(0).shape == (0, 2)
 
     def test_dimension_limits(self):
-        with pytest.raises(UnsupportedDimension):
+        with pytest.raises(ConfigError, match=r"dimension must be in \[1, 8\], got 0"):
             SobolStream(0)
-        with pytest.raises(UnsupportedDimension):
+        with pytest.raises(ConfigError, match=r"dimension must be in \[1, 8\], got 9"):
             SobolStream(9)
 
     def test_negative_skip(self):

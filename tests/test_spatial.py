@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import benchpursuit as bp
 from benchpursuit import spatial
-from benchpursuit.errors import DimensionMismatch, NonFiniteValue
+from benchpursuit.errors import DataError
 from benchpursuit.spatial import (
     RegionSpec,
     combined_region,
@@ -131,7 +131,7 @@ class TestEstimateSdf:
         assert np.linalg.norm(g, axis=1).max() <= 1.0 + 1e-12
 
     def test_dimension_mismatch(self, rng):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DataError, match="sample has d=2 but targets have d=3"):
             estimate_sdf_batch(rng.standard_normal((5, 2)), rng.standard_normal((3, 3)))
 
     def test_far_field_is_unit_direction(self):
@@ -422,7 +422,7 @@ class TestRegion:
         assert r1.base_radius == r2.base_radius
 
     def test_dimension_mismatch(self, rng):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DataError, match="projected samples have d=2 and d=3"):
             combined_region(rng.standard_normal((5, 2)), rng.standard_normal((5, 3)), k=1.0)
 
 
@@ -477,13 +477,13 @@ class TestExtremeScales:
     def test_non_finite_points_raise(self, bad):
         pts = _square(1.0)
         pts[2, 1] = bad
-        with pytest.raises(NonFiniteValue):
+        with pytest.raises(DataError, match="points contain NaN or infinite values"):
             spatial_median(pts)
-        with pytest.raises(NonFiniteValue):
+        with pytest.raises(DataError, match="points contain NaN or infinite values"):
             estimate_sdf_batch(pts, [[0.0, 0.0]])
-        with pytest.raises(NonFiniteValue):
+        with pytest.raises(DataError, match="points contain NaN or infinite values"):
             estimate_sdf_batch(_square(1.0), pts)
-        with pytest.raises(NonFiniteValue):
+        with pytest.raises(DataError, match="points contain NaN or infinite values"):
             data_radius(pts, [0.0, 0.0])
 
     @pytest.mark.parametrize("d", [1, 2, 3])

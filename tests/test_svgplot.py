@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from benchpursuit.errors import DimensionMismatch, UnsupportedDimension
+from benchpursuit.errors import ConfigError, DataError
 from benchpursuit.frames import ProjectedSample
 from benchpursuit.svgplot import emit_svg
 
@@ -123,12 +123,12 @@ def test_1d_strip_panel(rng):
 
 
 def test_unsupported_dimensions(rng):
-    with pytest.raises(UnsupportedDimension):
+    with pytest.raises(ConfigError, match=r"plots implemented for d in \{1, 2, 3\}, got d=4"):
         emit_svg([ProjectedSample(rng.standard_normal((5, 4)))])
 
 
 def test_mixed_dimensions_rejected(rng):
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DataError, match="all samples must share the same dimension"):
         emit_svg(
             [
                 ProjectedSample(rng.standard_normal((5, 2))),
