@@ -45,21 +45,13 @@ from .pipeline import (
     run,
     split_and_project,
 )
-from .projection_index import (
-    IndexConfig,
-    IndexValue,
-    ball_volume,
-    index,
-    map_to_ball,
-    refine_index,
-)
+from .projection_index import IndexConfig, IndexValue, index, refine_index
 from .sobol import MAX_DIMENSION, SobolStream
 from .spatial import (
     RegionSpec,
     SpatialMedianResult,
     combined_region,
     data_radius,
-    estimate_sdf,
     estimate_sdf_batch,
     spatial_median,
 )
@@ -91,14 +83,12 @@ __all__ = [
     "SpatialMedianResult",
     "SplitProjection",
     "anneal_search",
-    "ball_volume",
     "build_benchmark",
     "class_split",
     "combined_region",
     "data_radius",
     "dumps_canonical",
     "emit_svg",
-    "estimate_sdf",
     "estimate_sdf_batch",
     "filter_rows",
     "flag_duplicates",
@@ -108,7 +98,6 @@ __all__ = [
     "ingest_csv",
     "largest_principal_angle",
     "lcg_triplets",
-    "map_to_ball",
     "orthonormalize",
     "permutation_benchmark",
     "project",

@@ -273,7 +273,7 @@ def _restart(x, y, d: int, idx_cfg: IndexConfig, search_cfg: SearchConfig, resta
     try:
         start = random_frame(x.p, d, rng)
         sol = search(lambda frame: index(frame, x, y, idx_cfg), start, search_cfg, rng)
-    except (PursuitError, np.linalg.LinAlgError, ValueError) as err:
+    except (DataError, np.linalg.LinAlgError, ValueError) as err:
         return err
     sol.restart_id = restart_id
     sol.seed = seed
@@ -337,7 +337,8 @@ def run_search(
     identically. Results are sorted by descending search index with ties
     broken by restart id; near-duplicate spans are flagged. A restart that
     fails numerically is logged and skipped; a ``d`` outside [1, p] raises
-    :class:`DataError` before the first restart.
+    :class:`DataError`, and one the ball map does not support raises
+    :class:`ConfigError`, before the first restart.
 
     When there are several restarts, the process may run on two or more
     CPUs and the estimated work reaches ``_POOL_PAIRS``, the restarts run on
@@ -351,6 +352,8 @@ def run_search(
         raise DataError(f"d must be in [1, {x.p}] for {x.p} data columns, got {d}")
     idx_cfg = idx_cfg if idx_cfg is not None else IndexConfig()
     search_cfg = search_cfg if search_cfg is not None else SearchConfig()
+    # An unsupported d fails here, and forked workers inherit the cached nodes.
+    projection_index._unit_ball_nodes(d, idx_cfg.sobol_skip, idx_cfg.n_nodes)
 
     work = functools.partial(_restart, x, y, d, idx_cfg, search_cfg)
     restart_ids = range(search_cfg.restarts)

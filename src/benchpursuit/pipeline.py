@@ -129,9 +129,7 @@ def _index_value_dict(val: IndexValue) -> dict:
             "center": [float(c) for c in region.center],
             "base_radius": region.base_radius,
             "multiplier": region.multiplier,
-            "median": None
-            if med is None
-            else {
+            "median": {
                 "gradient_norm": med.gradient_norm,
                 "iterations": med.iterations,
                 "converged": med.converged,
@@ -142,21 +140,14 @@ def _index_value_dict(val: IndexValue) -> dict:
 
 def _index_value_from_dict(raw: dict) -> IndexValue:
     reg = raw["region"]
-    med = reg.get("median")
-    median = None
-    if med is not None:
-        median = SpatialMedianResult(
-            location=np.asarray(reg["center"], dtype=float),
-            gradient_norm=float(med["gradient_norm"]),
-            iterations=int(med["iterations"]),
-            converged=bool(med["converged"]),
-        )
-    region = RegionSpec(
-        center=np.asarray(reg["center"], dtype=float),
-        base_radius=float(reg["base_radius"]),
-        multiplier=float(reg["multiplier"]),
-        median=median,
+    med = reg["median"]
+    median = SpatialMedianResult(
+        location=np.asarray(reg["center"], dtype=float).ravel(),
+        gradient_norm=float(med["gradient_norm"]),
+        iterations=int(med["iterations"]),
+        converged=bool(med["converged"]),
     )
+    region = RegionSpec(median, float(reg["base_radius"]), float(reg["multiplier"]))
     return IndexValue(value=float(raw["value"]), n_nodes_used=int(raw["n_nodes"]), region=region)
 
 

@@ -95,65 +95,50 @@ class IndexValue:
 
     @property
     def median_converged(self) -> bool:
-        return self.region.median is None or self.region.median.converged
+        return self.region.median.converged
 
 
 def ball_volume(d: int, radius: float) -> float:
     """Volume of the d-ball of the given radius, inf beyond the largest float."""
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
     try:
         return math.pi ** (d / 2) / math.gamma(d / 2 + 1) * radius**d
     except OverflowError:
         return math.inf
 
 
-def map_to_ball(u, region: RegionSpec) -> np.ndarray:
-    """Measure-preserving map from the unit cube onto the region's ball.
+def map_to_ball(u: np.ndarray) -> np.ndarray:
+    """Measure-preserving map from the unit cube onto the unit ball.
 
-    Accepts a single point of shape (d,) or a batch of shape (n, d) and
-    returns the same shape. Implemented for d <= 3: an affine stretch in one
-    dimension, the polar area-preserving map in two, and the radial/cosine
-    map in three.
+    Maps an (n, d) batch of points. Implemented for d <= 3: an affine
+    stretch in one dimension, the polar area-preserving map in two, and the
+    radial/cosine map in three.
     """
-    arr = np.asarray(u, dtype=float)
-    single = arr.ndim == 1
-    pts = np.atleast_2d(arr)
-    d = pts.shape[1]
-    if d != region.dim:
-        raise DataError(f"nodes have d={d} but region has d={region.dim}")
-    radius = region.effective_radius
+    d = u.shape[1]
     if d == 1:
-        out = radius * (2.0 * pts - 1.0)
-    elif d == 2:
-        rho = radius * np.sqrt(pts[:, 0])
-        theta = 2.0 * math.pi * pts[:, 1]
-        out = np.column_stack([rho * np.cos(theta), rho * np.sin(theta)])
-    elif d == 3:
-        rho = radius * np.cbrt(pts[:, 0])
-        cos_phi = 1.0 - 2.0 * pts[:, 1]
+        return 2.0 * u - 1.0
+    if d == 2:
+        rho = np.sqrt(u[:, 0])
+        theta = 2.0 * math.pi * u[:, 1]
+        return np.column_stack([rho * np.cos(theta), rho * np.sin(theta)])
+    if d == 3:
+        rho = np.cbrt(u[:, 0])
+        cos_phi = 1.0 - 2.0 * u[:, 1]
         sin_phi = np.sqrt(np.maximum(1.0 - cos_phi**2, 0.0))
-        theta = 2.0 * math.pi * pts[:, 2]
-        out = np.column_stack(
+        theta = 2.0 * math.pi * u[:, 2]
+        return np.column_stack(
             [rho * sin_phi * np.cos(theta), rho * sin_phi * np.sin(theta), rho * cos_phi]
         )
-    else:
-        raise ConfigError(f"ball map implemented for d <= 3, got d={d}")
-    out = out + region.center
-    return out[0] if single else out
+    raise ConfigError(f"ball map implemented for d <= 3, got d={d}")
 
 
 @functools.lru_cache(maxsize=16)
 def _unit_ball_nodes(d: int, skip: int, n: int) -> np.ndarray:
     """The first ``n`` Sobol nodes after ``skip``, mapped into the unit d-ball.
 
-    Read-only and shared: the ball map is affine in the center and radius,
-    so every region's nodes are ``center + radius * _unit_ball_nodes(...)``.
+    Read-only and shared: every region's nodes are
+    ``center + radius * _unit_ball_nodes(...)``.
     """
-    unit = RegionSpec(center=np.zeros(d), base_radius=1.0, multiplier=1.0)
-    nodes = map_to_ball(SobolStream(d, skip=skip).take(n), unit)
+    nodes = map_to_ball(SobolStream(d, skip=skip).take(n))
     nodes.setflags(write=False)
     return nodes
 

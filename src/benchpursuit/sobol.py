@@ -88,7 +88,3 @@ class SobolStream:
             x ^= bit[:, None] * self._v[None, :, c]
         self.next_index += n
         return x.astype(np.float64) / _SCALE
-
-    def next(self) -> np.ndarray:
-        """The next point of the sequence, shape (dimension,)."""
-        return self.take(1)[0]

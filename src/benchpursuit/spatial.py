@@ -48,31 +48,28 @@ class SpatialMedianResult:
 
 @dataclass(frozen=True)
 class RegionSpec:
-    """Ball-shaped integration region: radius = multiplier x base_radius."""
+    """Ball-shaped integration region around a spatial median:
+    radius = multiplier x base_radius."""
 
-    center: np.ndarray
+    median: SpatialMedianResult
     base_radius: float
     multiplier: float
-    median: SpatialMedianResult | None = None
 
     __reduce__ = _pickle_by_fields
 
     def __post_init__(self):
-        center = np.array(np.asarray(self.center, dtype=float).ravel())
-        if center.size < 1:
+        if self.median.location.size < 1:
             raise ValueError("center must be nonempty")
         if self.base_radius < 0:
             raise ValueError("base_radius must be nonnegative")
         if self.multiplier <= 0:
             raise ValueError("multiplier must be positive")
-        center.setflags(write=False)
-        object.__setattr__(self, "center", center)
         object.__setattr__(self, "base_radius", float(self.base_radius))
         object.__setattr__(self, "multiplier", float(self.multiplier))
 
     @property
-    def dim(self) -> int:
-        return self.center.size
+    def center(self) -> np.ndarray:
+        return self.median.location
 
     @property
     def effective_radius(self) -> float:
@@ -194,12 +191,6 @@ def _sum_in_order(a: np.ndarray) -> np.ndarray:
     if a.shape[1] == 1 and a.shape[0] > 0:
         return np.add.accumulate(a[:, 0])[-1:]
     return a.sum(axis=0)
-
-
-def estimate_sdf(sample, t) -> np.ndarray:
-    """Spatial distribution function of ``sample`` at a single point ``t``."""
-    t = np.asarray(t, dtype=float).ravel()
-    return estimate_sdf_batch(sample, t[None, :])[0]
 
 
 def _lengths(offsets: np.ndarray) -> np.ndarray:
@@ -372,4 +363,4 @@ def combined_region(proj_x, proj_y, k: float, tol: float = 1e-8) -> RegionSpec:
     pooled = np.vstack([px, py])
     med = spatial_median(pooled, tol=tol)
     radius = data_radius(pooled, med.location)
-    return RegionSpec(center=med.location, base_radius=radius, multiplier=k, median=med)
+    return RegionSpec(med, base_radius=radius, multiplier=k)

@@ -191,7 +191,7 @@ _PICKLED = {
     "ProjectedSample": lambda: project(DataMatrix(_gaussian(5, 2), ("a", "b")),
                                        ProjectionFrame(np.eye(2)), "benchmark"),
     "SpatialMedianResult": lambda: spatial_median(_gaussian(9, 2)),
-    "RegionSpec": lambda: RegionSpec(np.zeros(2), 1.5, 2.0, spatial_median(_gaussian(9, 2))),
+    "RegionSpec": lambda: RegionSpec(spatial_median(_gaussian(9, 2)), 1.5, 2.0),
     "IndexValue": lambda: index(ProjectionFrame(np.eye(2)), DataMatrix(_gaussian(9, 2), ("a", "b")),
                                 DataMatrix(_gaussian(7, 2, seed=1), ("a", "b"))),
 }

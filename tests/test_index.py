@@ -17,7 +17,7 @@ from benchpursuit.errors import ConfigError
 import benchpursuit.projection_index as projection_index
 import benchpursuit.spatial as spatial
 from benchpursuit.projection_index import ball_volume, map_to_ball
-from benchpursuit.spatial import RegionSpec, combined_region
+from benchpursuit.spatial import combined_region
 
 # Oracle-derived value for the square-corners instance below: dense polar
 # grid integration (10^6 cells) of the node gap over the disc centered at
@@ -49,37 +49,30 @@ class TestBallVolume:
 
 class TestMapToBall:
     def test_inside_ball(self, rng):
-        region = RegionSpec(center=[1.0, -2.0], base_radius=3.0, multiplier=1.0)
-        u = rng.random((500, 2))
-        pts = map_to_ball(u, region)
-        assert np.linalg.norm(pts - region.center, axis=1).max() <= 3.0 + 1e-12
-
-    def test_single_matches_batch(self, rng):
-        region = RegionSpec(center=[0.0, 0.0, 0.0], base_radius=2.0, multiplier=1.0)
-        u = rng.random((7, 3))
-        batch = map_to_ball(u, region)
-        singles = np.array([map_to_ball(row, region) for row in u])
-        assert np.array_equal(batch, singles)
+        pts = map_to_ball(rng.random((500, 2)))
+        assert np.linalg.norm(pts, axis=1).max() <= 1.0 + 1e-12
 
     def test_interval_map_is_affine(self):
-        region = RegionSpec(center=[5.0], base_radius=2.0, multiplier=1.0)
-        pts = map_to_ball(np.array([[0.0], [0.5], [1.0]]), region)
-        assert np.allclose(pts[:, 0], [3.0, 5.0, 7.0])
+        pts = map_to_ball(np.array([[0.0], [0.5], [1.0]]))
+        assert np.array_equal(pts[:, 0], [-1.0, 0.0, 1.0])
 
-    def test_volume_preservation_statistics(self):
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_volume_preservation_statistics(self, d):
         """The cube-to-ball map should be measure preserving: the fraction of
-        mapped points inside the half-radius ball matches the volume ratio."""
-        region = RegionSpec(center=[0.0, 0.0], base_radius=1.0, multiplier=1.0)
+        mapped points inside the half-radius ball matches the volume ratio,
+        and every half-space through the centre holds half the points."""
         from benchpursuit.sobol import SobolStream
 
-        pts = map_to_ball(SobolStream(2).take(4096), region)
-        frac = float((np.linalg.norm(pts, axis=1) <= 0.5).mean())
-        assert frac == pytest.approx(0.25, abs=0.01)
+        pts = map_to_ball(SobolStream(d).take(4096))
+        norms = np.linalg.norm(pts, axis=1)
+        assert norms.max() <= 1.0
+        assert float((norms <= 0.5).mean()) == pytest.approx(0.5**d, abs=0.01)
+        for j in range(d):
+            assert float((pts[:, j] > 0.0).mean()) == pytest.approx(0.5, abs=0.01)
 
     def test_unsupported_dimension(self):
-        region = RegionSpec(center=[0.0] * 4, base_radius=1.0, multiplier=1.0)
         with pytest.raises(ConfigError, match="ball map implemented for d <= 3, got d=4"):
-            map_to_ball(np.zeros((2, 4)), region)
+            map_to_ball(np.zeros((2, 4)))
 
 
 class TestIndexConfig:

@@ -19,7 +19,7 @@ from benchpursuit import (
 )
 from benchpursuit.benchmarks import BenchmarkSpec
 from benchpursuit.dataio import write_csv
-from benchpursuit.errors import PipelineError
+from benchpursuit.errors import ConfigError, PipelineError
 from benchpursuit.optimize import _GeodesicPath, largest_principal_angle, flag_duplicates
 from benchpursuit.pipeline import RunManifest, run
 from oracles import random_orthogonal
@@ -490,6 +490,16 @@ class TestRestartPool:
         assert messages == ["restart 1 (seed 21) failed: forced failure 21",
                             "restart 3 (seed 23) failed: forced failure 23"]
         assert pooled == [2]
+
+    def test_unsupported_dim_raises_before_any_restart(self, caplog, pooled):
+        """A d the ball map does not support is a configuration error: it is
+        raised up front, not logged as a failure of every restart."""
+        x, y = self._data(p=5)
+        cfg = SearchConfig(restarts=2, max_iterations=2)
+        with pytest.raises(ConfigError, match="ball map implemented for d <= 3, got d=4"):
+            bp.run_search(x, y, d=4, search_cfg=cfg)
+        assert [r for r in caplog.records if "restart" in r.getMessage()] == []
+        assert pooled == []
 
     def test_uncaught_worker_error_reaches_parent(self, monkeypatch, tmp_path, pooled):
         x, y = self._data()

@@ -25,7 +25,7 @@ from benchpursuit.pipeline import (
     split_and_project,
 )
 from benchpursuit.projection_index import IndexConfig, IndexValue
-from benchpursuit.spatial import RegionSpec
+from benchpursuit.spatial import RegionSpec, SpatialMedianResult
 
 
 def _write_data(tmp_path, rng, n=24, p=3):
@@ -273,6 +273,21 @@ class TestRun:
             SolutionReport.load(bad)
 
     @pytest.mark.parametrize(
+        "field, value, message",
+        [("center", [], "center must be nonempty"), ("median", None, "NoneType")],
+    )
+    def test_load_rejects_a_region_without_its_median(self, tmp_path, rng, field, value,
+                                                      message):
+        path, _ = _write_data(tmp_path, rng)
+        run(_tiny_manifest(tmp_path, path))
+        raw = json.loads((tmp_path / "out" / "report.json").read_text())
+        raw["solutions"][0]["refined_index"]["region"][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=f"not a benchpursuit report.*{message}"):
+            SolutionReport.load(bad)
+
+    @pytest.mark.parametrize(
         "out_dir, start", [("runs/B", "."), ("./runs/B", "."), ("B", "runs"), (".", "runs/B")]
     )
     def test_relocate_reads_data_from_where_the_run_started(self, tmp_path, out_dir, start):
@@ -338,9 +353,8 @@ class TestSplitAndProject:
         path, x = _write_data(tmp_path, rng, n=10, p=matrix.shape[0])
         manifest = _tiny_manifest(tmp_path, path)
         frame = ProjectionFrame(matrix)
-        region = RegionSpec(
-            center=np.zeros(matrix.shape[1]), base_radius=1.0, multiplier=1.0
-        )
+        median = SpatialMedianResult(np.zeros(matrix.shape[1]), 0.0, 0, True)
+        region = RegionSpec(median, base_radius=1.0, multiplier=1.0)
         sol = SolutionProjection(
             frame=frame,
             search_index=IndexValue(value=0.5, n_nodes_used=8, region=region),

@@ -44,13 +44,6 @@ class TestStreamBehavior:
         whole = SobolStream(2).take(16)
         assert np.array_equal(np.vstack([a, b]), whole)
 
-    def test_next_single(self):
-        s = SobolStream(2)
-        first = s.next()
-        assert first.shape == (2,)
-        assert np.allclose(first, [0.0, 0.0])
-        assert s.next_index == 1
-
     def test_determinism(self):
         a = SobolStream(5, skip=7).take(100)
         b = SobolStream(5, skip=7).take(100)

@@ -12,9 +12,9 @@ from benchpursuit import spatial
 from benchpursuit.errors import DataError
 from benchpursuit.spatial import (
     RegionSpec,
+    SpatialMedianResult,
     combined_region,
     data_radius,
-    estimate_sdf,
     estimate_sdf_batch,
     spatial_median,
 )
@@ -71,7 +71,7 @@ class TestEstimateSdf:
         unit vectors (0,1) and (-2,1)/sqrt(5), averaged over all three.
         """
         pts = np.array([[0.0, 0.0], [0.0, 1.0], [-2.0, 1.0]])
-        g = estimate_sdf(pts, [0.0, 0.0])
+        g = estimate_sdf_batch(pts, np.array([[0.0, 0.0]]))[0]
         expected = (np.array([0.0, 1.0]) + np.array([-2.0, 1.0]) / np.sqrt(5.0)) / 3.0
         assert np.allclose(g, expected)
 
@@ -111,7 +111,7 @@ class TestEstimateSdf:
         monkeypatch.setattr(spatial, "_BLOCK_ELEMS", targets * len(pts) * d)
         expected = sdf_loop_many(pts, nodes)
         assert np.array_equal(estimate_sdf_batch(pts, nodes), expected)
-        assert np.array_equal(estimate_sdf(pts, nodes[0]), expected[0])
+        assert np.array_equal(estimate_sdf_batch(pts, nodes[0][None])[0], expected[0])
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_one_target_tiles_carry_sums(self, rng, monkeypatch, d):
@@ -137,7 +137,7 @@ class TestEstimateSdf:
     def test_far_field_is_unit_direction(self):
         # far away from the cloud every unit vector is nearly the same
         pts = np.zeros((4, 2))
-        g = estimate_sdf(pts, [1e9, 0.0])
+        g = estimate_sdf_batch(pts, np.array([[1e9, 0.0]]))[0]
         assert np.allclose(g, [-1.0, 0.0], atol=1e-9)
 
 
@@ -175,7 +175,7 @@ class TestSdfScratch:
                 nodes[0] = pts[m // 2]
                 want = sdf_loop_many(pts, nodes)
                 assert _same_bits(estimate_sdf_batch(pts, nodes), want)
-                assert _same_bits(estimate_sdf(pts, nodes[0]), want[0])
+                assert _same_bits(estimate_sdf_batch(pts, nodes[0][None])[0], want[0])
         assert NanEmpty.calls == 4 * 2 * len(cases)
 
     def test_cold_call_stays_small(self, rng):
@@ -362,16 +362,22 @@ class TestRegion:
         pts = np.array([[0.0, 0.0], [3.0, 4.0]])
         assert data_radius(pts, [0.0, 0.0]) == 5.0
 
+    @staticmethod
+    def _median(location) -> SpatialMedianResult:
+        return SpatialMedianResult(np.asarray(location, dtype=float), 0.0, 0, True)
+
     def test_region_spec_validation(self):
-        with pytest.raises(ValueError):
-            RegionSpec(center=[0.0], base_radius=-1.0, multiplier=1.0)
-        with pytest.raises(ValueError):
-            RegionSpec(center=[0.0], base_radius=1.0, multiplier=0.0)
+        with pytest.raises(ValueError, match="center must be nonempty"):
+            RegionSpec(self._median([]), base_radius=1.0, multiplier=1.0)
+        with pytest.raises(ValueError, match="base_radius"):
+            RegionSpec(self._median([0.0]), base_radius=-1.0, multiplier=1.0)
+        with pytest.raises(ValueError, match="multiplier"):
+            RegionSpec(self._median([0.0]), base_radius=1.0, multiplier=0.0)
 
     def test_effective_radius(self):
-        r = RegionSpec(center=[0.0, 0.0], base_radius=2.0, multiplier=1.5)
+        r = RegionSpec(self._median([0.0, 0.0]), base_radius=2.0, multiplier=1.5)
         assert r.effective_radius == 3.0
-        assert r.dim == 2
+        assert r.center is r.median.location
 
     def test_combined_region_symmetry_exact(self, rng):
         """Swapping the two samples gives bit-identical regions."""
