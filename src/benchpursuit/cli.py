@@ -16,7 +16,7 @@ import sys
 
 from .benchmarks import BenchmarkSpec
 from .dataio import filter_rows, ingest_csv, write_csv
-from .errors import ConfigError, DataError, PipelineError
+from .errors import ConfigError, DataError, PipelineError, PursuitError
 from .pipeline import RunManifest, SolutionReport, relocate, run, split_and_project
 
 log = logging.getLogger(__name__)
@@ -139,11 +139,10 @@ def _cmd_run(args) -> int:
     header = f"{'rank':>4} {'restart':>7} {'search':>12} {'refined':>12}  note"
     print(header)
     for rank, sol in enumerate(report.solutions):
-        refined = float(sol.refined_index) if sol.refined_index is not None else float("nan")
         note = f"duplicate of restart {sol.duplicate_of}" if sol.duplicate_of is not None else ""
         print(
             f"{rank:>4} {sol.restart_id:>7} {float(sol.search_index):>12.6g} "
-            f"{refined:>12.6g}  {note}"
+            f"{float(sol.refined_index):>12.6g}  {note}"
         )
     if report.degenerate:
         print("degenerate run: every solution scored exactly zero")
@@ -199,19 +198,12 @@ def main(argv=None) -> int:
         if args.command == "filter":
             return _cmd_filter(args)
         return _cmd_split(args)
-    except PipelineError as err:
-        print(f"error in {err}", file=sys.stderr)
-        cause = err.cause
+    except (PursuitError, OSError) as err:
+        # A PipelineError names its stage, and its cause decides the exit code.
+        staged = isinstance(err, PipelineError)
+        print(f"error in {err}" if staged else f"error: {err}", file=sys.stderr)
+        cause = err.cause if staged else err
         return 2 if isinstance(cause, (DataError, OSError)) else 1
-    except DataError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

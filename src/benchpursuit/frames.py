@@ -120,8 +120,6 @@ class ProjectedSample:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
         if pts.ndim != 2:
             raise ValueError("points must be a 2-d array")
         if not np.all(np.isfinite(pts)):

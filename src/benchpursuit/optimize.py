@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, PursuitError
+from .errors import DataError
 from .frames import ProjectionFrame, orthonormalize
 from . import projection_index
 from .projection_index import IndexConfig, IndexValue, _cpus, index
@@ -46,10 +46,10 @@ class AnnealConfig:
     step_decay: float = 0.98
 
     def __post_init__(self):
-        if self.t0 <= 0 or not 0 < self.cooling <= 1:
-            raise ValueError("need t0 > 0 and cooling in (0, 1]")
-        if self.step_scale0 <= 0 or not 0 < self.step_decay <= 1:
-            raise ValueError("need step_scale0 > 0 and step_decay in (0, 1]")
+        if not 0 < self.t0 < math.inf or not 0 < self.cooling <= 1:
+            raise ValueError("need 0 < t0 < inf and cooling in (0, 1]")
+        if not 0 < self.step_scale0 < math.inf or not 0 < self.step_decay <= 1:
+            raise ValueError("need 0 < step_scale0 < inf and step_decay in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,10 @@ class GeodesicConfig:
     n_probes: int = 25
 
     def __post_init__(self):
-        if self.max_angle <= 0 or not 0 < self.shrink < 1:
-            raise ValueError("need max_angle > 0 and shrink in (0, 1)")
-        if self.min_angle <= 0 or self.n_probes < 1:
-            raise ValueError("need min_angle > 0 and n_probes >= 1")
+        if not 0 < self.max_angle < math.inf or not 0 < self.shrink < 1:
+            raise ValueError("need 0 < max_angle < inf and shrink in (0, 1)")
+        if not 0 < self.min_angle < math.inf or self.n_probes < 1:
+            raise ValueError("need 0 < min_angle < inf and n_probes >= 1")
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.optimizer not in ("anneal", "geodesic"):
             raise ValueError(f"unknown optimizer '{self.optimizer}'")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be at least 0")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         # 0 is allowed so a search can degenerate to scoring the start frame.
@@ -107,11 +109,7 @@ def random_frame(p: int, d: int, rng: np.random.Generator) -> ProjectionFrame:
     """A frame drawn from the rotation-invariant distribution on p x d frames."""
     if not 1 <= d <= p:
         raise ValueError(f"need 1 <= d <= p, got p={p}, d={d}")
-    while True:
-        try:
-            return orthonormalize(rng.standard_normal((p, d)))
-        except PursuitError:  # pragma: no cover - measure-zero redraw
-            continue
+    return orthonormalize(rng.standard_normal((p, d)))
 
 
 def anneal_search(

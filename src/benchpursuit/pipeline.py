@@ -167,7 +167,8 @@ _DERIVED = ("degenerate", "nonconverged", "restarts_requested", "restarts_comple
 
 @dataclass
 class SolutionReport:
-    """Run outcome: the manifest and its solutions, best first.
+    """Run outcome: the manifest and its solutions, best first, each one
+    refined.
 
     Everything else ``report.json`` holds is computed from these two.
     """
@@ -189,7 +190,7 @@ class SolutionReport:
     def nonconverged(self) -> bool:
         """A spatial median failed to converge for some index value."""
         values = [v for s in self.solutions for v in (s.search_index, s.refined_index)]
-        return any(v is not None and not v.median_converged for v in values)
+        return any(not v.median_converged for v in values)
 
     @property
     def restarts_requested(self) -> int:
@@ -208,9 +209,7 @@ class SolutionReport:
                 "iterations_used": sol.iterations_used,
                 "duplicate_of": sol.duplicate_of,
                 "search_index": _index_value_dict(sol.search_index),
-                "refined_index": None
-                if sol.refined_index is None
-                else _index_value_dict(sol.refined_index),
+                "refined_index": _index_value_dict(sol.refined_index),
                 "frame": [[float(v) for v in row] for row in sol.frame.matrix],
                 "files": files,
             }
@@ -237,13 +236,11 @@ class SolutionReport:
             SolutionProjection(
                 frame=ProjectionFrame(np.asarray(entry["frame"], dtype=float)),
                 search_index=_index_value_from_dict(entry["search_index"]),
-                refined_index=None
-                if entry.get("refined_index") is None
-                else _index_value_from_dict(entry["refined_index"]),
+                refined_index=_index_value_from_dict(entry["refined_index"]),
                 restart_id=int(entry["restart_id"]),
                 iterations_used=int(entry["iterations_used"]),
                 seed=int(entry["seed"]),
-                duplicate_of=entry.get("duplicate_of"),
+                duplicate_of=entry["duplicate_of"],
             )
             for entry in raw["solutions"]
         ]

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,16 +70,16 @@ class IndexConfig:
     median_tol: float = 1e-8
 
     def __post_init__(self):
-        if not self.k > 0:
-            raise ValueError("k must be positive")
+        if not 0 < self.k < math.inf:
+            raise ValueError("k must be positive and finite")
         if self.n_nodes < 1 or self.n_nodes_refine < 1:
             raise ValueError("node counts must be at least 1")
         if self.sobol_skip < 0:
             raise ValueError("sobol_skip must be nonnegative")
         if self.sobol_skip + max(self.n_nodes, self.n_nodes_refine) > MAX_POINTS:
             raise ValueError(f"sobol_skip plus the node count must be at most {MAX_POINTS}")
-        if not self.median_tol > 0:
-            raise ValueError("median_tol must be positive")
+        if not 0 < self.median_tol < math.inf:
+            raise ValueError("median_tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -144,17 +144,12 @@ def _unit_ball_nodes(d: int, skip: int, n: int) -> np.ndarray:
 
 
 def index(
-    frame: ProjectionFrame,
-    x: DataMatrix,
-    y: DataMatrix,
-    cfg: IndexConfig | None = None,
-    n_nodes: int | None = None,
+    frame: ProjectionFrame, x: DataMatrix, y: DataMatrix, cfg: IndexConfig | None = None
 ) -> IndexValue:
-    """Index of ``frame`` for data ``x`` against benchmark ``y``.
+    """Index of ``frame`` for data ``x`` against benchmark ``y``, scored at
+    ``cfg.n_nodes`` nodes.
 
-    ``n_nodes`` defaults to the search-phase node count ``cfg.n_nodes``.
-
-    When the smaller sample times ``n_nodes`` reaches ``_CONCURRENT_PAIRS``
+    When the smaller sample times ``cfg.n_nodes`` reaches ``_CONCURRENT_PAIRS``
     and the process may run on two CPUs, ``x``'s SDF is computed on the
     process's worker thread while the calling thread computes ``y``'s. The
     value has the same bits on either path.
@@ -165,9 +160,6 @@ def index(
             differ but the index is below the smallest normal float.
     """
     cfg = cfg if cfg is not None else IndexConfig()
-    n_nodes = n_nodes if n_nodes is not None else cfg.n_nodes
-    if n_nodes < 1:
-        raise ValueError("node counts must be at least 1")
     if x.p != frame.p:
         raise DataError(f"data has {x.p} columns but frame has {frame.p} rows")
     if y.p != frame.p:
@@ -180,7 +172,7 @@ def index(
     if not math.isfinite(volume):
         raise DataError(f"the integration ball has radius {region.effective_radius:.3g}")
     targets = region.center + region.effective_radius * _unit_ball_nodes(
-        frame.d, cfg.sobol_skip, n_nodes
+        frame.d, cfg.sobol_skip, cfg.n_nodes
     )
     if min(len(px), len(py)) * len(targets) < _CONCURRENT_PAIRS or _cpus() < 2:
         fx = estimate_sdf_batch(px, targets)
@@ -202,7 +194,7 @@ def index(
             f"the index underflows ({value:.3g}) on a ball of radius "
             f"{region.effective_radius:.3g}; rescale the data, e.g. with --standardize"
         )
-    return IndexValue(value=value, n_nodes_used=n_nodes, region=region)
+    return IndexValue(value=value, n_nodes_used=cfg.n_nodes, region=region)
 
 
 def refine_index(
@@ -210,4 +202,4 @@ def refine_index(
 ) -> IndexValue:
     """Re-score ``frame`` at the refinement node count ``cfg.n_nodes_refine``."""
     cfg = cfg if cfg is not None else IndexConfig()
-    return index(frame, x, y, cfg, cfg.n_nodes_refine)
+    return index(frame, x, y, replace(cfg, n_nodes=cfg.n_nodes_refine))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .frames import _pickle_by_fields
+from .frames import _pickle_by_fields, _readonly
 
 # Elements in a full (points, targets) tile of batch SDF evaluation. A call
 # fills only half of one, so the d + 2 arrays of its tile (1.0-1.3 MB for
@@ -41,9 +41,7 @@ class SpatialMedianResult:
     __reduce__ = _pickle_by_fields
 
     def __post_init__(self):
-        loc = np.array(np.asarray(self.location, dtype=float))
-        loc.setflags(write=False)
-        object.__setattr__(self, "location", loc)
+        object.__setattr__(self, "location", _readonly(self.location))
 
 
 @dataclass(frozen=True)
@@ -77,11 +75,8 @@ class RegionSpec:
 
 
 def _points(obj) -> np.ndarray:
-    """Accept a ProjectedSample or a plain (n, d) array."""
-    pts = getattr(obj, "points", obj)
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    """``obj`` as an (n, d) float array."""
+    pts = np.asarray(obj, dtype=float)
     if pts.ndim != 2:
         raise ValueError("expected an (n, d) array of points")
     return pts

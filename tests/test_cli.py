@@ -295,6 +295,15 @@ class TestRunCommand:
         )
         assert code == 2
 
+    def test_negative_seed_exits_1_before_the_data_is_read(self, tmp_path, capsys):
+        code = main(
+            ["run", "--data", str(tmp_path / "nope.csv"), "--benchmark", "permute:1",
+             "--out", str(tmp_path / "o"), "--seed", "-1"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "rng_seed must be at least 0" in err
+
     def test_nonconvergence_exits_3(self, data_csv, tmp_path, capsys, monkeypatch):
         out = tmp_path / "out"
         assert main(_run_args(data_csv, out)) == 0
@@ -538,6 +547,28 @@ class TestSplitCommand:
         assert main(["split", "--report", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda sol: sol.update(refined_index=None),
+            lambda sol: sol.pop("refined_index"),
+            lambda sol: sol.pop("duplicate_of"),
+        ],
+        ids=["null-refined-index", "no-refined-index", "no-duplicate-of"],
+    )
+    def test_solution_without_its_refine_exits_1(self, data_csv, tmp_path, capsys, edit):
+        """Every run refines each solution and writes both keys."""
+        out = tmp_path / "out"
+        assert main(_run_args(data_csv, out)) == 0
+        raw = json.loads((out / "report.json").read_text())
+        edit(raw["solutions"][0])
+        bad = out / "bad.json"
+        bad.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main(["split", "--report", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not a benchpursuit report" in err
 
     def test_missing_report_exits_2(self, tmp_path):
         assert main(["split", "--report", str(tmp_path / "nope.json")]) == 2

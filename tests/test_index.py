@@ -139,6 +139,20 @@ class TestIndexOverflow:
         tiny = DataMatrix(x.values * 1e-300, x.column_names)
         assert float(bp.index(ProjectionFrame(np.eye(2)), tiny, tiny)) == 0.0
 
+    def test_index_beyond_the_largest_float_raises(self):
+        """In d = 1, samples at +-5e307 span a ball of volume 1e308, finite,
+        and their SDFs differ by 2 at all nodes but the one on a sample, so
+        the index overflows; at +-3e307 it is a finite 1.188e308."""
+        f = ProjectionFrame(np.eye(1))
+
+        def far_apart(t):
+            return (DataMatrix(np.full((20, 1), t), ("a",)),
+                    DataMatrix(np.full((20, 1), -t), ("a",)))
+
+        with pytest.raises(bp.DataError, match="the index is inf on a ball of volume 1e"):
+            bp.index(f, *far_apart(5e307))
+        assert float(bp.index(f, *far_apart(3e307))) == pytest.approx(1.188e308, rel=1e-3)
+
     def test_projection_beyond_the_largest_float_raises(self):
         x = DataMatrix([[1.5e308, 1.5e308], [0.0, 1.0]], ("a", "b"))
         f = ProjectionFrame(np.full((2, 1), np.sqrt(0.5)))
@@ -229,12 +243,12 @@ class TestRefine:
         x, y = _instance()
         f = ProjectionFrame(np.eye(2))
         cfg = IndexConfig(n_nodes_refine=333)
-        v = bp.index(f, x, y, cfg, n_nodes=333)
+        v = bp.index(f, x, y, IndexConfig(n_nodes=333))
         assert v.n_nodes_used == 333
         assert v.value == bp.refine_index(f, x, y, cfg).value
         assert v.value != bp.index(f, x, y, cfg).value
         with pytest.raises(ValueError):
-            bp.index(f, x, y, cfg, n_nodes=0)
+            IndexConfig(n_nodes=0)
 
     def test_refine_tightens(self):
         """Search and refined values approximate the same integral."""
@@ -412,7 +426,7 @@ class TestConcurrentSdf:
         projection_index._unit_ball_nodes(2, 0, 2_000)  # cached nodes, as in a search
         tracemalloc.start()
         try:
-            bp.index(f, x, y, n_nodes=2_000)
+            bp.index(f, x, y, IndexConfig(n_nodes=2_000))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

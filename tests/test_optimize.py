@@ -40,6 +40,9 @@ class TestConfigs:
             SearchConfig(restarts=0)
         with pytest.raises(ValueError):
             SearchConfig(max_iterations=-1)
+        with pytest.raises(ValueError, match="rng_seed"):
+            SearchConfig(rng_seed=-1)
+        SearchConfig(rng_seed=0)
 
     def test_anneal_config_validation(self):
         with pytest.raises(ValueError):
@@ -56,6 +59,24 @@ class TestConfigs:
             GeodesicConfig(shrink=1.0)
         with pytest.raises(ValueError):
             GeodesicConfig(n_probes=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "cls, name",
+        [
+            (IndexConfig, "k"),
+            (IndexConfig, "median_tol"),
+            (AnnealConfig, "t0"),
+            (AnnealConfig, "step_scale0"),
+            (GeodesicConfig, "max_angle"),
+            (GeodesicConfig, "min_angle"),
+        ],
+    )
+    def test_non_finite_setting_is_rejected(self, cls, name, value):
+        """Built from Python as from a manifest: infinite k or median_tol
+        would integrate over an infinite ball or stop the median at once."""
+        with pytest.raises(ValueError, match=name):
+            cls(**{name: value})
 
 
 class TestRandomFrame:

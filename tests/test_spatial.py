@@ -134,6 +134,11 @@ class TestEstimateSdf:
         with pytest.raises(DataError, match="sample has d=2 but targets have d=3"):
             estimate_sdf_batch(rng.standard_normal((5, 2)), rng.standard_normal((3, 3)))
 
+    def test_vector_is_not_a_sample(self, rng):
+        """Points are rows of an (n, d) array; a 1-d vector is not read as d = 1."""
+        with pytest.raises(ValueError, match=r"\(n, d\) array"):
+            estimate_sdf_batch(rng.standard_normal(5), rng.standard_normal((3, 1)))
+
     def test_far_field_is_unit_direction(self):
         # far away from the cloud every unit vector is nearly the same
         pts = np.zeros((4, 2))
@@ -316,6 +321,8 @@ class TestSpatialMedian:
             spatial_median(pts, tol=0.0)
         with pytest.raises(ValueError):
             spatial_median(pts, max_iter=-1)
+        with pytest.raises(ValueError, match=r"\(n, d\) array"):
+            spatial_median(np.arange(5.0))
 
 
 class TestSolverAgainstReference:
