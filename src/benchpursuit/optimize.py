@@ -24,7 +24,7 @@ from .projection_index import IndexConfig, IndexValue, _cpus, index
 log = logging.getLogger(__name__)
 
 # Smallest estimated search work, in sample-point x node pairs (see
-# ``_workers``), at which run_search runs its restarts on worker processes.
+# ``_workers``), at which run_search runs a search on worker processes.
 # Starting them costs about 25 ms on a 2-vCPU VM, where they lost to one
 # process up to 8.4e5 pairs and won from 1.3e6 up (sweep in BENCH_18.json).
 _POOL_PAIRS = 2_000_000
@@ -179,7 +179,7 @@ class _GeodesicPath:
 
 
 def geodesic_search(
-    objective, start: ProjectionFrame, cfg: SearchConfig, rng: np.random.Generator
+    objective, start: ProjectionFrame, cfg: SearchConfig, rng: np.random.Generator, score=None
 ) -> SolutionProjection:
     """Guided-tour style hill climb from ``start``, maximizing ``objective``.
 
@@ -196,8 +196,16 @@ def geodesic_search(
     iteration budget is exhausted, so the result is never worse than the
     start. Only the span moves; at d = p every frame has the same span, so
     the start frame is returned.
+
+    An iteration's probe frames are built first, in probe order, and then
+    scored by one call ``score(frames)``, which returns the objective of each
+    frame in order: ``map(objective, frames)`` unless given, or a pool's map
+    of an equal objective on worker processes. The probes do not depend on
+    one another and the best is taken in probe order, so the result has the
+    same bits either way; ``rng`` draws only the target frames.
     """
     g = cfg.geodesic
+    score = score if score is not None else functools.partial(map, objective)
     current, cur_val = start, objective(start)
     trace = [float(cur_val)]
     angle = g.max_angle
@@ -211,13 +219,12 @@ def geodesic_search(
             trace.append(float(cur_val))
             continue
         t_max = min(1.0, angle / path.span_angle)
-        best_probe, best_probe_val = None, -math.inf
+        probes = []
         for j in range(g.n_probes):
             t = t_max * g.shrink ** (j // 2)
-            if j % 2:
-                t = -t
-            cand = orthonormalize(path.at(t))
-            cand_val = objective(cand)
+            probes.append(orthonormalize(path.at(-t if j % 2 else t)))
+        best_probe, best_probe_val = None, -math.inf
+        for cand, cand_val in zip(probes, score(probes)):
             if float(cand_val) > float(best_probe_val):
                 best_probe, best_probe_val = cand, cand_val
         if float(best_probe_val) > float(cur_val):
@@ -262,15 +269,21 @@ def flag_duplicates(solutions: list[SolutionProjection]) -> None:
                 break
 
 
-def _restart(x, y, d: int, idx_cfg: IndexConfig, search_cfg: SearchConfig, restart_id: int):
+def _restart(x, y, d: int, idx_cfg: IndexConfig, search_cfg: SearchConfig, restart_id: int,
+             score=None):
     """Restart ``restart_id`` of :func:`run_search`: its solution, or the
-    numerical error that ended it."""
+    numerical error that ended it. ``score`` is the geodesic search's probe
+    map (see :func:`geodesic_search`); an error it raises for a probe ends
+    the restart as the same error scored here would."""
     seed = search_cfg.rng_seed + restart_id
     rng = np.random.default_rng(seed)
-    search = anneal_search if search_cfg.optimizer == "anneal" else geodesic_search
     try:
         start = random_frame(x.p, d, rng)
-        sol = search(lambda frame: index(frame, x, y, idx_cfg), start, search_cfg, rng)
+        objective = lambda frame: index(frame, x, y, idx_cfg)  # noqa: E731
+        if search_cfg.optimizer == "anneal":
+            sol = anneal_search(objective, start, search_cfg, rng)
+        else:
+            sol = geodesic_search(objective, start, search_cfg, rng, score)
     except (DataError, np.linalg.LinAlgError, ValueError) as err:
         return err
     sol.restart_id = restart_id
@@ -279,14 +292,25 @@ def _restart(x, y, d: int, idx_cfg: IndexConfig, search_cfg: SearchConfig, resta
 
 
 def _workers(x, y, idx_cfg: IndexConfig, search_cfg: SearchConfig) -> int:
-    """Worker processes for a search's restarts; 1 runs them in this process.
+    """Worker processes for a search; 1 runs it in this process.
 
-    The work is estimated in sample-point x node pairs as restarts x
-    evaluations per restart x (n_x + n_y) x n_nodes, counting every probe
-    of a geodesic iteration. A daemonic process (a multiprocessing pool's
-    worker) may not start children, so it runs its restarts itself.
+    A search splits into units that can run at the same time: its restarts
+    when there are two or more, else the probes of each iteration of a
+    single geodesic restart. A single anneal restart is one unit, since each
+    of its steps starts from the last. A search uses min(units, CPUs)
+    workers when that is two or more and its work, estimated in sample-point
+    x node pairs as restarts x evaluations per restart x (n_x + n_y) x
+    n_nodes and counting every probe of a geodesic iteration, reaches
+    ``_POOL_PAIRS``. A daemonic process (a multiprocessing pool's worker) may
+    not start children, so it runs its search itself.
     """
-    workers = min(search_cfg.restarts, _cpus())
+    if search_cfg.restarts > 1:
+        units = search_cfg.restarts
+    elif search_cfg.optimizer == "geodesic":
+        units = search_cfg.geodesic.n_probes
+    else:
+        units = 1
+    workers = min(units, _cpus())
     if workers < 2 or not hasattr(os, "fork"):
         return 1
     if search_cfg.optimizer == "anneal":
@@ -300,25 +324,58 @@ def _workers(x, y, idx_cfg: IndexConfig, search_cfg: SearchConfig) -> int:
     return 1 if multiprocessing.current_process().daemon else workers
 
 
-def _serial_sdf() -> None:
-    """Pool initializer: a worker computes each index on one thread, so the
-    workers alone share the CPUs."""
+# In a pool worker, the (x, y, d, idx_cfg, search_cfg) of the search it serves.
+_job: tuple = ()
+
+
+def _start_worker(*job) -> None:
+    """Pool initializer: keeps the search's inputs, which a forked worker
+    inherits rather than unpickles, and computes each index on one thread,
+    so the workers alone share the CPUs."""
+    global _job
+    _job = job
     projection_index._CONCURRENT_PAIRS = math.inf
 
 
-def _on_workers(work, restart_ids: range, workers: int) -> list:
-    """``work`` of each restart id on worker processes, one restart per task,
-    in restart-id order. The workers are forked, so they start in
-    milliseconds with the package already imported. An error ``work``
-    raises, or a worker that dies, is raised here once the running restarts
-    are done; every worker is joined before this returns."""
+def _restart_task(restart_id: int):
+    return _restart(*_job, restart_id)
+
+
+def _probe_task(frame: ProjectionFrame) -> IndexValue:
+    x, y, _, idx_cfg, _ = _job
+    return index(frame, x, y, idx_cfg)
+
+
+def _on_workers(job: tuple, restart_ids: range, workers: int) -> list:
+    """The outcome of each restart of ``job``, as :func:`_restart` returns
+    it, computed on ``workers`` forked processes, in restart-id order.
+
+    The workers are forked once, so they start in milliseconds with the
+    package imported and ``job`` (x, y, d, idx_cfg, search_cfg) in memory,
+    and a task carries only a restart id or a probe frame. Two or more
+    restarts run one restart per task. A single restart runs here, and each
+    iteration's probes are scored on the workers in ceil(n_probes / workers)
+    probes per task. A probe's numerical error reaches that restart's
+    ``_restart`` as it would in this process, and ends the restart alike.
+    Any other error a task raises, or a worker that dies, is raised here
+    once the running tasks are done; every worker is joined before this
+    returns.
+    """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"), initializer=_serial_sdf
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker,
+        initargs=job,
     ) as pool:
-        return list(pool.map(work, restart_ids))
+        if len(restart_ids) > 1:
+            return list(pool.map(_restart_task, restart_ids))
+        search_cfg = job[-1]
+        chunk = math.ceil(search_cfg.geodesic.n_probes / workers)
+        score = functools.partial(pool.map, _probe_task, chunksize=chunk)
+        return [_restart(*job, restart_ids[0], score)]
 
 
 def run_search(
@@ -338,13 +395,14 @@ def run_search(
     :class:`DataError`, and one the ball map does not support raises
     :class:`ConfigError`, before the first restart.
 
-    When there are several restarts, the process may run on two or more
-    CPUs and the estimated work reaches ``_POOL_PAIRS``, the restarts run on
-    forked worker processes, one restart per task, and each worker computes
-    its index values on one thread. Every restart draws only from its own
-    seed, so the solutions have the same bits either way; failed restarts
-    are logged by this process, in restart order. The workers' memory is
-    their own, outside this process's resident set.
+    When the process may run on two or more CPUs and the estimated work
+    reaches ``_POOL_PAIRS`` (see ``_workers``), the search runs on forked
+    worker processes: several restarts one restart per task, a single
+    geodesic restart its probes, and each worker computes its index values
+    on one thread. Every restart draws only from its own seed, and probes
+    are chosen in probe order, so the solutions have the same bits either
+    way; failed restarts are logged by this process, in restart order. The
+    workers' memory is their own, outside this process's resident set.
     """
     if not 1 <= d <= x.p:
         raise DataError(f"d must be in [1, {x.p}] for {x.p} data columns, got {d}")
@@ -353,10 +411,13 @@ def run_search(
     # An unsupported d fails here, and forked workers inherit the cached nodes.
     projection_index._unit_ball_nodes(d, idx_cfg.sobol_skip, idx_cfg.n_nodes)
 
-    work = functools.partial(_restart, x, y, d, idx_cfg, search_cfg)
+    job = (x, y, d, idx_cfg, search_cfg)
     restart_ids = range(search_cfg.restarts)
     workers = _workers(x, y, idx_cfg, search_cfg)
-    outcomes = _on_workers(work, restart_ids, workers) if workers > 1 else map(work, restart_ids)
+    if workers > 1:
+        outcomes = _on_workers(job, restart_ids, workers)
+    else:
+        outcomes = map(functools.partial(_restart, *job), restart_ids)
     solutions: list[SolutionProjection] = []
     for restart_id, outcome in zip(restart_ids, outcomes):
         if isinstance(outcome, SolutionProjection):

@@ -148,31 +148,32 @@ def estimate_sdf_batch(sample, targets) -> np.ndarray:
     width = max(1, min(len(tgt), math.isqrt(_BLOCK_ELEMS)))
     height = max(1, min(m, _BLOCK_ELEMS // 2 // width))
     buf = np.empty((d + 2) * (height + 1) * width)
-    for start in range(0, len(tgt), width):
-        chunk = tgt[start : start + width]
-        n = len(chunk)
-        work = buf[: (d + 2) * (height + 1) * n].reshape(d + 2, height + 1, n)
-        sums, dist, sq = work[:d], work[d, 1:], work[d + 1, 1:]
-        sums[:, 0] = 0.0
-        for lo in range(0, m, height):
-            rows = min(height, m - lo)
-            diffs = sums[:, 1 : rows + 1]
-            for j, diff in enumerate(diffs):
-                np.subtract(cols[j][lo : lo + rows], chunk[:, j], out=diff)
-            length = dist[:rows]
-            np.multiply(diffs[0], diffs[0], out=length)
-            for diff in diffs[1:]:
-                np.multiply(diff, diff, out=sq[:rows])
-                length += sq[:rows]
-            np.sqrt(length, out=length)
-            coincident = None if length.all() else length == 0.0
-            for j, diff in enumerate(diffs):
-                with np.errstate(divide="ignore", invalid="ignore"):
+    # A coincident point divides 0 by 0; its quotient is then set to 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, len(tgt), width):
+            chunk = tgt[start : start + width]
+            n = len(chunk)
+            work = buf[: (d + 2) * (height + 1) * n].reshape(d + 2, height + 1, n)
+            sums, dist, sq = work[:d], work[d, 1:], work[d + 1, 1:]
+            sums[:, 0] = 0.0
+            for lo in range(0, m, height):
+                rows = min(height, m - lo)
+                diffs = sums[:, 1 : rows + 1]
+                for j, diff in enumerate(diffs):
+                    np.subtract(cols[j][lo : lo + rows], chunk[:, j], out=diff)
+                length = dist[:rows]
+                np.multiply(diffs[0], diffs[0], out=length)
+                for diff in diffs[1:]:
+                    np.multiply(diff, diff, out=sq[:rows])
+                    length += sq[:rows]
+                np.sqrt(length, out=length)
+                coincident = None if length.all() else length == 0.0
+                for j, diff in enumerate(diffs):
                     np.divide(diff, length, out=diff)
-                if coincident is not None:
-                    diff[coincident] = 0.0
-                sums[j, 0] = _sum_in_order(sums[j, : rows + 1])
-        out[start : start + width] = sums[:, 0].T / m
+                    if coincident is not None:
+                        diff[coincident] = 0.0
+                    sums[j, 0] = _sum_in_order(sums[j, : rows + 1])
+            out[start : start + width] = sums[:, 0].T / m
     return out
 
 
@@ -234,8 +235,8 @@ def spatial_median(sample, tol: float = 1e-8, max_iter: int = 1000) -> SpatialMe
     ``converged`` flag, not an exception.
     """
     pts = _points(sample)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if max_iter < 0:
         raise ValueError("max_iter must be nonnegative")
     scale = _pow2_scale(pts)

@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import os
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -381,14 +382,15 @@ class TestRunSearch:
 
 @pytest.fixture
 def pooled(monkeypatch):
-    """Every search of two or more restarts runs on worker processes, on any
-    machine; the list records the worker count of each pool started."""
+    """Every search of two or more restarts, or of one geodesic restart,
+    runs on worker processes, on any machine; the list records the worker
+    count of each pool started."""
     started = []
     real = optimize._on_workers
 
-    def spy(work, restart_ids, workers):
+    def spy(job, restart_ids, workers):
         started.append(workers)
-        return real(work, restart_ids, workers)
+        return real(job, restart_ids, workers)
 
     monkeypatch.setattr(optimize, "_POOL_PAIRS", 0)
     monkeypatch.setattr(optimize, "_cpus", lambda: 2)
@@ -476,7 +478,7 @@ class TestRestartPool:
             for s in part:
                 assert s.frame.matrix.tobytes() == by_seed[s.seed].frame.matrix.tobytes()
                 assert s.best_trace == by_seed[s.seed].best_trace
-        # one restart never starts a pool
+        # one anneal restart never starts a pool
         assert pooled == [2, 2, 2]
 
     def test_restarts_run_in_workers_without_sdf_thread(self, monkeypatch, pooled):
@@ -565,41 +567,53 @@ class TestRestartPool:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_daemonic_caller_runs_serially(self, monkeypatch):
-        """A pool's worker may not start children: the search runs in it."""
+        """A pool's worker may not start children: the search runs in it,
+        several restarts and a single geodesic restart's probes alike."""
         x, y = self._data()
-        cfg = SearchConfig(restarts=3, max_iterations=4, rng_seed=2)
-        want = _fingerprint(bp.run_search(x, y, d=2, search_cfg=cfg))
+        cfgs = (SearchConfig(restarts=3, max_iterations=4, rng_seed=2),
+                SearchConfig(optimizer="geodesic", restarts=1, max_iterations=3, rng_seed=2))
+        wants = [_fingerprint(bp.run_search(x, y, d=2, search_cfg=cfg)) for cfg in cfgs]
         monkeypatch.setattr(optimize, "_POOL_PAIRS", 0)
         monkeypatch.setattr(optimize, "_cpus", lambda: 2)
         monkeypatch.setattr(optimize, "_on_workers", _no_pool)
-        child = multiprocessing.get_context("fork").Process(
-            target=_search_in_daemon, args=(x, y, cfg, want), daemon=True)
-        child.start()
-        child.join(timeout=60)
-        if child.is_alive():
-            child.kill()
-            child.join()
-            pytest.fail("search hung in a daemonic child")
-        assert child.exitcode == 0
+        for cfg, want in zip(cfgs, wants):
+            child = multiprocessing.get_context("fork").Process(
+                target=_search_in_daemon, args=(x, y, cfg, want), daemon=True)
+            child.start()
+            child.join(timeout=60)
+            if child.is_alive():
+                child.kill()
+                child.join()
+                pytest.fail("search hung in a daemonic child")
+            assert child.exitcode == 0
 
     def test_when_the_pool_is_used(self, monkeypatch):
-        """Restarts, CPUs, fork and the work estimate: restarts x evaluations
-        per restart x (n_x + n_y) x n_nodes against the gate."""
+        """Units, CPUs, fork and the work estimate: restarts x evaluations
+        per restart x (n_x + n_y) x n_nodes against the gate. The units are
+        the restarts when there are two or more, the probes of a single
+        geodesic restart, and one for a single anneal restart."""
         x, y = self._data()
         idx = IndexConfig(n_nodes=10)
         anneal = SearchConfig(restarts=3, max_iterations=4)
         geodesic = SearchConfig(optimizer="geodesic", restarts=3, max_iterations=4,
                                 geodesic=GeodesicConfig(n_probes=6))
+        probes = replace(geodesic, restarts=1)
         monkeypatch.setattr(optimize, "_cpus", lambda: 2)
-        for cfg, work in ((anneal, 3 * 5 * 60 * 10), (geodesic, 3 * 25 * 60 * 10)):
+        for cfg, work in ((anneal, 3 * 5 * 60 * 10), (geodesic, 3 * 25 * 60 * 10),
+                          (probes, 1 * 25 * 60 * 10)):
             monkeypatch.setattr(optimize, "_POOL_PAIRS", work)
             assert optimize._workers(x, y, idx, cfg) == 2
             monkeypatch.setattr(optimize, "_POOL_PAIRS", work + 1)
             assert optimize._workers(x, y, idx, cfg) == 1
         monkeypatch.setattr(optimize, "_POOL_PAIRS", 0)
         assert optimize._workers(x, y, idx, SearchConfig(restarts=1)) == 1
+        one_probe = replace(probes, geodesic=GeodesicConfig(n_probes=1))
+        assert optimize._workers(x, y, idx, one_probe) == 1
         monkeypatch.setattr(optimize, "_cpus", lambda: 8)
         assert optimize._workers(x, y, idx, anneal) == 3
+        assert optimize._workers(x, y, idx, geodesic) == 3
+        assert optimize._workers(x, y, idx, probes) == 6
+        assert optimize._workers(x, y, idx, SearchConfig(restarts=1)) == 1
         monkeypatch.setattr(optimize, "_cpus", lambda: 1)
         assert optimize._workers(x, y, idx, anneal) == 1
         monkeypatch.setattr(optimize, "_cpus", lambda: 2)
@@ -614,3 +628,110 @@ class TestRestartPool:
         x, y = self._data()
         sols = bp.run_search(x, y, d=2, search_cfg=SearchConfig(restarts=3, max_iterations=3))
         assert len(sols) == 3
+        geodesic = SearchConfig(optimizer="geodesic", restarts=1, max_iterations=3)
+        assert len(bp.run_search(x, y, d=2, search_cfg=geodesic)) == 1
+
+
+def _frame_of(call, monkeypatch, x, y, cfg):
+    """The frame of the ``call``-th index evaluation of a serial search."""
+    frames = []
+    real = optimize.index
+
+    def recording(frame, *args):
+        frames.append(frame.matrix.tobytes())
+        return real(frame, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(optimize, "_POOL_PAIRS", math.inf)
+        m.setattr(optimize, "index", recording)
+        bp.run_search(x, y, d=2, search_cfg=cfg)
+    return frames[call]
+
+
+class TestProbePool:
+    """A single geodesic restart scores each iteration's probes on forked
+    workers; the pool changes no bit, and leaves no process behind."""
+
+    _data = TestRestartPool._data
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_pool_matches_serial(self, monkeypatch, tmp_path, pooled, d):
+        """Solutions, traces and report.json bytes, run by run."""
+        x, _ = self._data()
+        data_path = tmp_path / "data.csv"
+        write_csv(x, data_path)
+        cfg = SearchConfig(optimizer="geodesic", restarts=1, max_iterations=8, rng_seed=70 + d,
+                           geodesic=GeodesicConfig(n_probes=5))
+
+        def both():
+            out = tmp_path / f"out-{len(pooled)}"
+            report = run(RunManifest(
+                data_path=str(data_path), benchmark=BenchmarkSpec(kind="permutation", seed=5),
+                out_dir=str(out), dim=d, index_cfg=IndexConfig(n_nodes=16, n_nodes_refine=32),
+                search_cfg=cfg))
+            return _fingerprint(report.solutions), (out / "report.json").read_bytes()
+
+        got = both()
+        assert pooled == [2]
+        monkeypatch.setattr(optimize, "_POOL_PAIRS", math.inf)
+        want = both()
+        assert pooled == [2]
+        assert got[0] == want[0]
+        assert got[1] == want[1].replace(b"out-1", b"out-0")
+
+    def test_failed_probe_is_logged_as_serial(self, monkeypatch, caplog, pooled):
+        """A probe that raises DataError in a worker ends its restart as the
+        same probe does in this process: one warning, nothing survives."""
+        x, y = self._data()
+        cfg = SearchConfig(optimizer="geodesic", restarts=1, max_iterations=6, rng_seed=8,
+                           geodesic=GeodesicConfig(n_probes=4))
+        failing = _frame_of(9, monkeypatch, x, y, cfg)
+        parent = os.getpid()
+        in_parent = []
+        real = optimize.index
+
+        def fails_on_one_frame(frame, *args):
+            if frame.matrix.tobytes() == failing:
+                in_parent.append(os.getpid() == parent)
+                raise bp.DataError("forced probe failure")
+            return real(frame, *args)
+
+        monkeypatch.setattr(optimize, "index", fails_on_one_frame)
+        outcomes = []
+        for pool_pairs in (0, math.inf):
+            monkeypatch.setattr(optimize, "_POOL_PAIRS", pool_pairs)
+            caplog.clear()
+            sols = bp.run_search(x, y, d=2, search_cfg=cfg)
+            warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+            outcomes.append((_fingerprint(sols), warnings))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == ([], ["restart 0 (seed 8) failed: forced probe failure"])
+        # the pooled run met the frame in a worker only, the serial one here
+        assert in_parent == [True]
+        assert pooled == [2]
+
+    def test_dead_probe_worker_raises(self, monkeypatch, pooled):
+        """A worker that dies while scoring a probe fails the search instead
+        of leaving it waiting for the lost probe."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        x, y = self._data()
+        cfg = SearchConfig(optimizer="geodesic", restarts=1, max_iterations=4, rng_seed=3,
+                           geodesic=GeodesicConfig(n_probes=4))
+        parent = os.getpid()
+        real = optimize.index
+
+        def exit_in_worker(frame, *args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(frame, *args)
+
+        monkeypatch.setattr(optimize, "index", exit_in_worker)
+        with pytest.raises(BrokenProcessPool):
+            bp.run_search(x, y, d=2, search_cfg=cfg)
+        assert pooled == [2]

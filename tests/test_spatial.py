@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import tracemalloc
@@ -319,6 +320,9 @@ class TestSpatialMedian:
         pts = np.zeros((3, 2))
         with pytest.raises(ValueError):
             spatial_median(pts, tol=0.0)
+        for tol in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                spatial_median(pts, tol=tol)
         with pytest.raises(ValueError):
             spatial_median(pts, max_iter=-1)
         with pytest.raises(ValueError, match=r"\(n, d\) array"):
