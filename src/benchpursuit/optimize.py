@@ -330,8 +330,8 @@ _job: tuple = ()
 
 def _start_worker(*job) -> None:
     """Pool initializer: keeps the search's inputs, which a forked worker
-    inherits rather than unpickles, and computes each index on one thread,
-    so the workers alone share the CPUs."""
+    inherits rather than unpickles, and computes each index itself, with
+    no SDF helper, so the workers alone share the CPUs."""
     global _job
     _job = job
     projection_index._CONCURRENT_PAIRS = math.inf
@@ -399,7 +399,7 @@ def run_search(
     reaches ``_POOL_PAIRS`` (see ``_workers``), the search runs on forked
     worker processes: several restarts one restart per task, a single
     geodesic restart its probes, and each worker computes its index values
-    on one thread. Every restart draws only from its own seed, and probes
+    itself, with no SDF helper. Every restart draws only from its own seed, and probes
     are chosen in probe order, so the solutions have the same bits either
     way; failed restarts are logged by this process, in restart order. The
     workers' memory is their own, outside this process's resident set.

@@ -22,7 +22,7 @@ from .errors import ConfigError, DataError, PipelineError
 from .frames import DataMatrix, ProjectedSample, ProjectionFrame, project, split_by_row_norm
 from .jsonconfig import build
 from .optimize import SearchConfig, SolutionProjection, run_search
-from .projection_index import IndexConfig, IndexValue, refine_index
+from .projection_index import IndexConfig, IndexValue, _may_fork, refine_index
 from .spatial import RegionSpec, SpatialMedianResult
 from .svgplot import emit_svg
 
@@ -315,6 +315,64 @@ def _load_input(manifest: RunManifest) -> DataMatrix:
     return standardize_columns(data) if manifest.standardize else data
 
 
+def _write_views(out: Path, report: SolutionReport, data: DataMatrix, bench: DataMatrix) -> None:
+    """Create ``out`` and write each solution's frame CSV, coordinates CSV,
+    data SVG and combined SVG there. Nothing here reads a refined index: the
+    SVG titles show the search index."""
+    out.mkdir(parents=True, exist_ok=True)
+    label_name = data.label_name or "label"
+    for rank, (sol, files) in enumerate(zip(report.solutions, report.files)):
+        proj_data = project(data, sol.frame, "data")
+        proj_bench = project(bench, sol.frame, "benchmark")
+        samples = [(data.row_labels, proj_data), (bench.row_labels, proj_bench)]
+        _write_view(out, files, sol.frame.matrix, data.column_names, samples, label_name)
+        title = (
+            f"solution {rank:02d} (restart {sol.restart_id})"
+            f" index {float(sol.search_index):.6g}"
+        )
+        (out / files["data_svg"]).write_text(emit_svg([proj_data], title=title), encoding="utf-8")
+        (out / files["combined_svg"]).write_text(
+            emit_svg([proj_data, proj_bench], title=title), encoding="utf-8"
+        )
+
+
+def _views_in_child(conn, *views) -> None:
+    """Body of the view writer: ``_write_views(*views)``, then send its
+    exception, or None, to the parent."""
+    try:
+        _write_views(*views)
+        outcome = None
+    except Exception as err:
+        outcome = err
+    conn.send(outcome)
+
+
+class _ViewWriter:
+    """A forked child that runs ``_write_views`` while its parent refines."""
+
+    def __init__(self, *views):
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        self._conn, child_end = ctx.Pipe(duplex=False)
+        self._child = ctx.Process(target=_views_in_child, args=(child_end, *views),
+                                  name="benchpursuit-views")
+        self._child.start()
+        child_end.close()
+
+    def wait(self) -> Exception | None:
+        """The exception the child raised, if any, once it has exited."""
+        with self._conn:
+            try:
+                outcome = self._conn.recv()
+            except EOFError:  # it died without a word
+                outcome = None
+        self._child.join()
+        if outcome is None and self._child.exitcode:
+            return RuntimeError(f"the view writer exited with code {self._child.exitcode}")
+        return outcome
+
+
 def run(manifest: RunManifest) -> SolutionReport:
     """Execute a manifest end to end and write its outputs.
 
@@ -323,6 +381,15 @@ def run(manifest: RunManifest) -> SolutionReport:
     stage. A run whose solutions all score exactly zero (data and benchmark
     indistinguishable) is flagged degenerate; spatial-median non-convergence
     anywhere is flagged, not fatal.
+
+    When the process may fork (see ``projection_index._may_fork``), a child
+    forked right after the search writes every solution's CSVs and SVGs
+    while this process refines; its memory is its own, outside this
+    process's resident set. It is joined before the report stage ends, and
+    an error it raised is raised in stage ``report`` with the same message
+    and class, so the exit code is the same. Otherwise the views are
+    written in the report stage. Either way ``report.json`` is written last,
+    and every file has the same bytes.
     """
     with _stage("ingest"):
         x0 = _load_input(manifest)
@@ -335,30 +402,21 @@ def run(manifest: RunManifest) -> SolutionReport:
             data, bench, manifest.dim, manifest.index_cfg, manifest.search_cfg
         )
 
-    with _stage("refine"):
-        for sol in solutions:
-            sol.refined_index = refine_index(sol.frame, data, bench, manifest.index_cfg)
+    out = Path(manifest.out_dir)
+    report = SolutionReport(manifest, solutions)
+    writer = _ViewWriter(out, report, data, bench) if _may_fork() else None
+    try:
+        with _stage("refine"):
+            for sol in solutions:
+                sol.refined_index = refine_index(sol.frame, data, bench, manifest.index_cfg)
+    finally:
+        view_error = writer.wait() if writer else None
 
     with _stage("report"):
-        out = Path(manifest.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        report = SolutionReport(manifest, solutions)
-        label_name = data.label_name or "label"
-        for rank, (sol, files) in enumerate(zip(solutions, report.files)):
-            proj_data = project(data, sol.frame, "data")
-            proj_bench = project(bench, sol.frame, "benchmark")
-            samples = [(data.row_labels, proj_data), (bench.row_labels, proj_bench)]
-            _write_view(out, files, sol.frame.matrix, data.column_names, samples, label_name)
-            title = (
-                f"solution {rank:02d} (restart {sol.restart_id})"
-                f" index {float(sol.search_index):.6g}"
-            )
-            (out / files["data_svg"]).write_text(
-                emit_svg([proj_data], title=title), encoding="utf-8"
-            )
-            (out / files["combined_svg"]).write_text(
-                emit_svg([proj_data, proj_bench], title=title), encoding="utf-8"
-            )
+        if writer is None:
+            _write_views(out, report, data, bench)
+        elif view_error is not None:
+            raise view_error
         report.save(out / "report.json")
     return report
 

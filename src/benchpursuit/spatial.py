@@ -194,6 +194,19 @@ def _lengths(offsets: np.ndarray) -> np.ndarray:
     return np.sqrt((offsets * offsets).sum(axis=0))
 
 
+def _coordinate_median(cols: np.ndarray) -> np.ndarray:
+    """Row medians of a (d, m) array, with the bits of ``np.median(cols,
+    axis=1)``: one partition, plus a max over the lower half when m is even,
+    whose mean with the middle element is the median. np.median's mean adds
+    from +0.0, which turns a median of -0.0 into +0.0; so does ``+ 0.0``."""
+    m = cols.shape[1]
+    part = np.partition(cols, m // 2, axis=1)
+    upper = part[:, m // 2]
+    if m % 2:
+        return upper + 0.0
+    return (part[:, : m // 2].max(axis=1) + upper + 0.0) / 2.0
+
+
 def spatial_median(sample, tol: float = 1e-8, max_iter: int = 1000) -> SpatialMedianResult:
     """Euclidean 1-median by a safeguarded Newton iteration.
 
@@ -250,7 +263,7 @@ def _newton_median(pts: np.ndarray, scale: float, tol: float, max_iter: int):
     offsets and small clusters of points are held scaled."""
     m, d = pts.shape
     cols = np.multiply(pts.T, scale, order="C")
-    t = np.median(cols, axis=1)
+    t = _coordinate_median(cols)
     if d == 1:
         return t, 0.0, 0, True
 
@@ -337,7 +350,9 @@ def data_radius(sample, center) -> float:
     if center.size != pts.shape[1]:
         raise DataError(f"center has d={center.size} but sample has d={pts.shape[1]}")
     scale = _pow2_scale(pts, center)
-    return float(np.max(np.linalg.norm(pts * scale - center * scale, axis=1))) / scale
+    offsets = np.multiply(pts.T, scale, order="C")
+    offsets -= (center * scale)[:, None]
+    return float(_lengths(offsets).max()) / scale
 
 
 def combined_region(proj_x, proj_y, k: float, tol: float = 1e-8) -> RegionSpec:

@@ -1,5 +1,6 @@
 import functools
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import benchpursuit
-from benchpursuit import optimize, spatial
+from benchpursuit import optimize, projection_index, spatial
 from benchpursuit.benchmarks import lcg_triplets
 from benchpursuit.cli import main, parse_benchmark
 from benchpursuit.dataio import ingest_csv, write_csv
@@ -371,6 +372,21 @@ class TestRunCommand:
         assert len(warnings) == 1
         assert "restart 1 (seed 4) failed: forced failure" in warnings[0].getMessage()
         assert len(pools) == 1
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "view-writer"])
+    def test_report_write_failure_exits_2(self, data_csv, tmp_path, capsys, monkeypatch, cpus):
+        """A directory where solution_00_data.svg goes: one error line names
+        stage 'report' and the file, no report.json is written, and no child
+        process is left, whether the views are written here or in a child."""
+        monkeypatch.setattr(projection_index, "_cpus", lambda: cpus)
+        out = tmp_path / "out"
+        (out / "solution_00_data.svg").mkdir(parents=True)
+        assert main(_run_args(data_csv, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error in stage 'report': ") and err.count("\n") == 1
+        assert str(out / "solution_00_data.svg") in err
+        assert not (out / "report.json").exists()
+        assert multiprocessing.active_children() == []
 
     def test_class_benchmark_names_the_label_column(self, data_csv, tmp_path):
         out = tmp_path / "out"

@@ -1,9 +1,9 @@
 import multiprocessing
 import os
+import select
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -265,19 +265,57 @@ def _bits(value: bp.IndexValue) -> str:
 
 @pytest.fixture
 def concurrent(monkeypatch):
-    """Every index call takes the two-thread path, on any machine."""
+    """Every index call takes the two-process path, on any machine."""
     monkeypatch.setattr(projection_index, "_CONCURRENT_PAIRS", 0)
     monkeypatch.setattr(projection_index, "_cpus", lambda: 2)
+
+
+def _drop_helper():
+    """Close this process's SDF helper, if it has one, and reap it."""
+    helper = projection_index._helpers.pop(os.getpid(), None)
+    if helper is not None:
+        helper.close()
+
+
+@pytest.fixture
+def fresh_helper():
+    """The next concurrent call forks a new helper, which sees the test's
+    patches; it is closed afterwards."""
+    _drop_helper()
+    yield
+    _drop_helper()
 
 
 def _child_index(frame, x, y, cfg, want):
     """Runs in a forked child; a mismatch exits non-zero."""
     assert _bits(bp.refine_index(frame, x, y, cfg)) == want
+    assert os.getpid() in projection_index._helpers, "the child used no helper of its own"
+
+
+def _daemon_index(frame, x, y, want):
+    """Runs in a daemonic forked child; a mismatch or a helper exits non-zero."""
+    assert _bits(bp.index(frame, x, y)) == want
+    assert os.getpid() not in projection_index._helpers, "a daemonic process forked a helper"
+
+
+_SIGKILL_PARENT = """
+import os, sys, time
+import numpy as np
+import benchpursuit as bp
+import benchpursuit.projection_index as pi
+pi._CONCURRENT_PAIRS = 0
+pi._cpus = lambda: 2
+x = bp.DataMatrix(np.arange(40.0).reshape(20, 2), ("a", "b"))
+bp.index(bp.ProjectionFrame(np.eye(2)), x, x)
+os.close(int(sys.argv[1]))  # the helper keeps its copy of the pipe's write end
+print(pi._helpers[os.getpid()].pid, flush=True)
+time.sleep(60)
+"""
 
 
 class TestConcurrentSdf:
-    """index computes the two samples' SDFs on two threads above a size gate;
-    the gate, the thread and the halved tiles change no bit."""
+    """index computes the two samples' SDFs in two processes above a size
+    gate; the gate, the helper and the halved tiles change no bit."""
 
     @pytest.mark.parametrize("block", [64, 1 << 16])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -296,7 +334,7 @@ class TestConcurrentSdf:
         assert got[0] == got[float("inf")]
 
     def test_symmetry_exact_unequal_sizes(self, concurrent):
-        """The worker gets x in one argument order and y in the other."""
+        """The helper gets x in one argument order and y in the other."""
         x, y = _instance(seed=5, n1=30, n2=45, p=3)
         f = bp.random_frame(3, 2, np.random.default_rng(5))
         cfg = IndexConfig(n_nodes_refine=900)
@@ -304,62 +342,92 @@ class TestConcurrentSdf:
         assert _bits(bp.refine_index(f, x, y, cfg)) == _bits(bp.refine_index(f, y, x, cfg))
 
     def test_import_starts_no_thread(self):
+        """Importing the package starts no thread and no process, and leaves
+        multiprocessing unimported."""
         code = (
-            "import threading, benchpursuit, benchpursuit.projection_index as pi; "
+            "import os, sys, threading, benchpursuit, benchpursuit.projection_index as pi; "
             "assert threading.active_count() == 1, threading.enumerate(); "
-            "assert pi._worker.cache_info().currsize == 0"
+            "assert pi._helpers == {}; "
+            "assert 'multiprocessing' not in sys.modules; "
+            "pid = None\n"
+            "try: pid = os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError: pass\n"
+            "assert pid is None, pid"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
 
+    def test_concurrent_call_starts_no_thread(self, concurrent):
+        before = threading.active_count()
+        x, y = _instance(seed=4)
+        bp.index(ProjectionFrame(np.eye(2)), x, y)
+        assert os.getpid() in projection_index._helpers
+        assert threading.active_count() == before
+
     def test_one_cpu_never_creates_pool(self, monkeypatch):
-        """A 1-CPU affinity never asks for the worker. The factory is patched
-        as well as the pool, since an earlier test may have cached a worker."""
-        def no_pool(*args, **kwargs):
-            raise AssertionError("pool created on one CPU")
+        """A 1-CPU affinity never asks for the helper, nor forks."""
+        def no_helper(*args, **kwargs):
+            raise AssertionError("helper asked for on one CPU")
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(projection_index, "ThreadPoolExecutor", no_pool)
-        monkeypatch.setattr(projection_index, "_worker", no_pool)
+        monkeypatch.setattr(projection_index, "_helper", no_helper)
+        monkeypatch.setattr(os, "fork", no_helper)
         monkeypatch.setattr(projection_index, "_CONCURRENT_PAIRS", 0)
         x, y = _instance()
         v = bp.index(ProjectionFrame(np.eye(2)), x, y)
         monkeypatch.setattr(projection_index, "_CONCURRENT_PAIRS", float("inf"))
         assert _bits(v) == _bits(bp.index(ProjectionFrame(np.eye(2)), x, y))
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_daemonic_caller_computes_serially(self, concurrent):
+        x, y = _instance(seed=6)
+        f = ProjectionFrame(np.eye(2))
+        want = _bits(bp.index(f, x, y))
+        child = multiprocessing.get_context("fork").Process(
+            target=_daemon_index, args=(f, x, y, want), daemon=True
+        )
+        child.start()
+        child.join(timeout=60)
+        assert not child.is_alive()
+        assert child.exitcode == 0
+
     @pytest.mark.parametrize("failing", ["worker", "caller"])
-    def test_exception_from_either_call_surfaces(self, monkeypatch, concurrent, failing):
-        """The failure is raised from index only after the worker's call is
-        done, and the next call works and gives the serial bits."""
+    def test_exception_from_either_call_surfaces(self, monkeypatch, concurrent, fresh_helper,
+                                                 failing):
+        """An error in the helper reaches the caller with its class and
+        message. Either way the helper's reply is collected, so the helper
+        is kept: the next call, which sends it the other sample, gives the
+        serial bits."""
         real = spatial.estimate_sdf_batch
-        state = {"armed": True, "worker_done": False}
+        parent = os.getpid()
+        armed = [True]
 
         def flaky(sample, targets):
-            on_worker = threading.current_thread().name.startswith("benchpursuit-sdf")
-            if on_worker:
-                time.sleep(0.05)
-            if state["armed"] and on_worker == (failing == "worker"):
-                raise RuntimeError(failing)
-            out = real(sample, targets)
-            state["worker_done"] |= on_worker
-            return out
+            in_helper = os.getpid() != parent
+            if failing == "worker" and in_helper and len(sample) == 20:
+                raise RuntimeError("worker failed on 20 points")
+            if failing == "caller" and not in_helper and armed[0]:
+                raise RuntimeError("caller failed")
+            return real(sample, targets)
 
         monkeypatch.setattr(projection_index, "estimate_sdf_batch", flaky)
-        x, y = _instance()
+        x, y = _instance()  # 20 and 25 rows
         f = ProjectionFrame(np.eye(2))
-        with pytest.raises(RuntimeError, match=failing):
+        message = "worker failed on 20 points" if failing == "worker" else "caller failed"
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
             bp.index(f, x, y)
-        assert state["worker_done"] == (failing == "caller")
-        state["armed"] = False
-        got = bp.index(f, x, y)
+        armed[0] = False
+        helper = projection_index._helpers[parent]
+        got = bp.index(f, y, x)
+        assert projection_index._helpers[parent] is helper
         monkeypatch.setattr(projection_index, "_CONCURRENT_PAIRS", float("inf"))
         assert _bits(got) == _bits(bp.index(f, x, y))
 
     def test_threads_share_the_worker(self, monkeypatch, concurrent):
-        """More callers than cores, switching often, all on the one worker."""
+        """More callers than cores, switching often, sharing the one helper."""
         rng = np.random.default_rng(11)
         f = ProjectionFrame(np.eye(2))
         jobs = [_instance(seed=int(s), n1=40 + k, n2=60 - k)
@@ -392,7 +460,7 @@ class TestConcurrentSdf:
         f = ProjectionFrame(np.eye(2))
         cfg = IndexConfig(n_nodes_refine=600)
         want = _bits(bp.refine_index(f, x, y, cfg))
-        assert projection_index._worker.cache_info().currsize >= 1
+        assert os.getpid() in projection_index._helpers
         child = multiprocessing.get_context("fork").Process(
             target=_child_index, args=(f, x, y, cfg, want)
         )
@@ -404,11 +472,38 @@ class TestConcurrentSdf:
             pytest.fail("index hung in a forked child")
         assert child.exitcode == 0
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_helper_exits_with_a_sigkilled_parent(self):
+        """The helper holds the write end of a pipe that only it keeps open,
+        so the read end reaches EOF once the helper has exited."""
+        read_end, write_end = os.pipe()
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        parent = subprocess.Popen(
+            [sys.executable, "-c", _SIGKILL_PARENT, str(write_end)], env=env,
+            stdout=subprocess.PIPE, text=True, pass_fds=(write_end,)
+        )
+        os.close(write_end)
+        try:
+            helper_pid = int(parent.stdout.readline())
+            assert helper_pid not in (0, parent.pid)
+            parent.kill()
+            parent.wait(timeout=10)
+            os.set_blocking(read_end, True)
+            ready, _, _ = select.select([read_end], [], [], 10)
+            assert ready, "the helper outlived its SIGKILLed parent by 10 s"
+            assert os.read(read_end, 1) == b""
+        finally:
+            parent.kill()
+            parent.wait(timeout=10)
+            parent.stdout.close()
+            os.close(read_end)
+
     def test_two_tiles_share_one_tiles_memory(self, monkeypatch):
         """One concurrent call on 20 000 x 2 against 20 000 x 2 points at
         2 000 nodes: from the end of the region stage, whose spatial median
-        has temporaries of its own, the traced peak (the projections, nodes,
-        results and both calls' tiles) stays under 4 MB."""
+        has temporaries of its own, the caller's traced peak (the
+        projections, nodes, results, the pickled request and its one tile)
+        stays under 4 MB."""
         monkeypatch.setattr(projection_index, "_cpus", lambda: 2)
         real_region = projection_index.combined_region
 
@@ -430,5 +525,5 @@ class TestConcurrentSdf:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert projection_index._worker.cache_info().currsize >= 1
+        assert os.getpid() in projection_index._helpers
         assert peak < 4 * 2**20

@@ -1,11 +1,13 @@
 import functools
 import json
+import multiprocessing
+import os
 from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
-from benchpursuit import spatial
+from benchpursuit import pipeline, projection_index, spatial
 from benchpursuit.benchmarks import BenchmarkSpec
 from benchpursuit.dataio import write_csv
 from benchpursuit.errors import ConfigError, DataError, PipelineError
@@ -315,6 +317,46 @@ class TestRun:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+    def test_view_writer_writes_the_same_bytes(self, tmp_path, rng, monkeypatch):
+        """On two CPUs a forked child writes the views, on one this process
+        does; every file has the same bytes, report.json apart from out_dir."""
+        path, _ = _write_data(tmp_path, rng)
+        real = pipeline._write_views
+        writers = {}
+
+        def spy(out, *args):
+            (out.parent / f"{out.name}.pid").write_text(str(os.getpid()))
+            real(out, *args)
+
+        monkeypatch.setattr(pipeline, "_write_views", spy)
+        for cpus in (1, 2):
+            monkeypatch.setattr(projection_index, "_cpus", lambda: cpus)
+            run(_tiny_manifest(tmp_path, path, out_dir=str(tmp_path / f"cpus{cpus}")))
+            writers[cpus] = int((tmp_path / f"cpus{cpus}.pid").read_text())
+        assert writers[1] == os.getpid() != writers[2]
+        assert multiprocessing.active_children() == []
+        one, two = tmp_path / "cpus1", tmp_path / "cpus2"
+        names = sorted(p.name for p in one.iterdir())
+        assert names == sorted(p.name for p in two.iterdir()) and len(names) == 9
+        for name in names:
+            a, b = (one / name).read_bytes(), (two / name).read_bytes()
+            if name == "report.json":
+                a = a.replace(str(one).encode(), str(two).encode())
+            assert a == b, name
+
+    def test_refine_failure_joins_the_view_writer(self, tmp_path, rng, monkeypatch):
+        monkeypatch.setattr(projection_index, "_cpus", lambda: 2)
+
+        def fails(*args):
+            raise DataError("refine failed")
+
+        monkeypatch.setattr(pipeline, "refine_index", fails)
+        path, _ = _write_data(tmp_path, rng)
+        with pytest.raises(PipelineError, match="stage 'refine': refine failed"):
+            run(_tiny_manifest(tmp_path, path))
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_degenerate_flag(self, tmp_path, rng):
         path, _ = _write_data(tmp_path, rng, n=12)

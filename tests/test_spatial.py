@@ -254,6 +254,22 @@ class TestSpatialMedian:
         assert res.converged and res.iterations == 0 and res.gradient_norm == 0.0
         assert (np.abs(res.location - point) <= np.spacing(np.abs(point))).all()
 
+    @pytest.mark.parametrize("m", [1, 2, 7, 8, 801, 800])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
+    def test_start_has_the_bits_of_np_median(self, m, d, ties):
+        """The coordinate-wise median the iteration starts from (and d = 1
+        returns) has the bits of np.median, odd and even m, tied or not; the
+        tied values include -0.0."""
+        rng = np.random.default_rng(m * 10 + d)
+        cols = rng.standard_normal((d, m)) * 1e3
+        if ties:
+            cols = np.round(cols / 500.0)
+        got = spatial._coordinate_median(np.ascontiguousarray(cols))
+        assert got.tobytes() == np.median(cols, axis=1).tobytes()
+        if d == 1:
+            assert spatial_median(cols.T).location.tobytes() == got.tobytes()
+
     def test_two_points_midline(self):
         """Any point on the segment minimizes; the solver must converge on it."""
         res = spatial_median(np.array([[0.0, 0.0], [2.0, 0.0]]))
@@ -372,6 +388,17 @@ class TestRegion:
     def test_data_radius(self):
         pts = np.array([[0.0, 0.0], [3.0, 4.0]])
         assert data_radius(pts, [0.0, 0.0]) == 5.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_data_radius_has_the_bits_of_a_row_norm(self, d):
+        """Distances summed left to right from (d, m) offsets, as
+        np.linalg.norm(..., axis=1) sums them on (m, d)."""
+        rng = np.random.default_rng(d)
+        for scale in (1e-3, 1.0, 7.3e4):
+            pts = rng.standard_normal((20_000, d)) * scale
+            center = rng.standard_normal(d) * scale
+            want = float(np.max(np.linalg.norm(pts - center, axis=1)))
+            assert data_radius(pts, center) == want
 
     @staticmethod
     def _median(location) -> SpatialMedianResult:
