@@ -11,15 +11,14 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _fork, projection_index
 from .errors import DataError
 from .frames import ProjectionFrame, orthonormalize
-from . import projection_index
-from .projection_index import IndexConfig, IndexValue, _cpus, index
+from .projection_index import IndexConfig, IndexValue, index
 
 log = logging.getLogger(__name__)
 
@@ -199,8 +198,8 @@ def geodesic_search(
 
     An iteration's probe frames are built first, in probe order, and then
     scored by one call ``score(frames)``, which returns the objective of each
-    frame in order: ``map(objective, frames)`` unless given, or a pool's map
-    of an equal objective on worker processes. The probes do not depend on
+    frame in order: ``map(objective, frames)`` unless given, or a map of an
+    equal objective on forked children. The probes do not depend on
     one another and the best is taken in probe order, so the result has the
     same bits either way; ``rng`` draws only the target frames.
     """
@@ -292,17 +291,16 @@ def _restart(x, y, d: int, idx_cfg: IndexConfig, search_cfg: SearchConfig, resta
 
 
 def _workers(x, y, idx_cfg: IndexConfig, search_cfg: SearchConfig) -> int:
-    """Worker processes for a search; 1 runs it in this process.
+    """Forked children for a search; 1 runs it in this process.
 
     A search splits into units that can run at the same time: its restarts
     when there are two or more, else the probes of each iteration of a
     single geodesic restart. A single anneal restart is one unit, since each
     of its steps starts from the last. A search uses min(units, CPUs)
-    workers when that is two or more and its work, estimated in sample-point
-    x node pairs as restarts x evaluations per restart x (n_x + n_y) x
-    n_nodes and counting every probe of a geodesic iteration, reaches
-    ``_POOL_PAIRS``. A daemonic process (a multiprocessing pool's worker) may
-    not start children, so it runs its search itself.
+    children when that is two or more, ``_fork.may_fork()`` holds and its
+    work, estimated in sample-point x node pairs as restarts x evaluations
+    per restart x (n_x + n_y) x n_nodes and counting every probe of a
+    geodesic iteration, reaches ``_POOL_PAIRS``.
     """
     if search_cfg.restarts > 1:
         units = search_cfg.restarts
@@ -310,8 +308,8 @@ def _workers(x, y, idx_cfg: IndexConfig, search_cfg: SearchConfig) -> int:
         units = search_cfg.geodesic.n_probes
     else:
         units = 1
-    workers = min(units, _cpus())
-    if workers < 2 or not hasattr(os, "fork"):
+    workers = min(units, _fork.cpus())
+    if workers < 2 or not _fork.may_fork():
         return 1
     if search_cfg.optimizer == "anneal":
         evaluations = search_cfg.max_iterations + 1
@@ -319,62 +317,32 @@ def _workers(x, y, idx_cfg: IndexConfig, search_cfg: SearchConfig) -> int:
         evaluations = 1 + search_cfg.max_iterations * search_cfg.geodesic.n_probes
     if search_cfg.restarts * evaluations * (x.n + y.n) * idx_cfg.n_nodes < _POOL_PAIRS:
         return 1
-    import multiprocessing
-
-    return 1 if multiprocessing.current_process().daemon else workers
-
-
-# In a pool worker, the (x, y, d, idx_cfg, search_cfg) of the search it serves.
-_job: tuple = ()
-
-
-def _start_worker(*job) -> None:
-    """Pool initializer: keeps the search's inputs, which a forked worker
-    inherits rather than unpickles, and computes each index itself, with
-    no SDF helper, so the workers alone share the CPUs."""
-    global _job
-    _job = job
-    projection_index._CONCURRENT_PAIRS = math.inf
-
-
-def _restart_task(restart_id: int):
-    return _restart(*_job, restart_id)
-
-
-def _probe_task(frame: ProjectionFrame) -> IndexValue:
-    x, y, _, idx_cfg, _ = _job
-    return index(frame, x, y, idx_cfg)
+    return workers
 
 
 def _on_workers(job: tuple, restart_ids: range, workers: int) -> list:
     """The outcome of each restart of ``job``, as :func:`_restart` returns
-    it, computed on ``workers`` forked processes, in restart-id order.
+    it, in restart-id order, from ``workers`` children that inherit ``job``.
 
-    The workers are forked once, so they start in milliseconds with the
-    package imported and ``job`` (x, y, d, idx_cfg, search_cfg) in memory,
-    and a task carries only a restart id or a probe frame. Two or more
-    restarts run one restart per task. A single restart runs here, and each
-    iteration's probes are scored on the workers in ceil(n_probes / workers)
-    probes per task. A probe's numerical error reaches that restart's
-    ``_restart`` as it would in this process, and ends the restart alike.
-    Any other error a task raises, or a worker that dies, is raised here
-    once the running tasks are done; every worker is joined before this
-    returns.
+    Two or more restarts run one restart per task. A single restart runs
+    here, and each iteration's probes are scored on the children in
+    ceil(n_probes / workers) probes per task; a probe's error reaches
+    ``_restart`` as it would in this process.
     """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    x, y, _, idx_cfg, search_cfg = job
+    if len(restart_ids) > 1:
+        with _fork.children(functools.partial(_restart, *job), workers, "restart worker") as map_:
+            return map_(restart_ids)
 
-    with ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker,
-        initargs=job,
-    ) as pool:
-        if len(restart_ids) > 1:
-            return list(pool.map(_restart_task, restart_ids))
-        search_cfg = job[-1]
-        chunk = math.ceil(search_cfg.geodesic.n_probes / workers)
-        score = functools.partial(pool.map, _probe_task, chunksize=chunk)
+    def score_chunk(frames):
+        return [index(frame, x, y, idx_cfg) for frame in frames]
+
+    chunk = math.ceil(search_cfg.geodesic.n_probes / workers)
+    with _fork.children(score_chunk, workers, "probe worker") as map_:
+        def score(frames):
+            parts = map_([frames[i:i + chunk] for i in range(0, len(frames), chunk)])
+            return [value for part in parts for value in part]
+
         return [_restart(*job, restart_ids[0], score)]
 
 
@@ -395,20 +363,17 @@ def run_search(
     :class:`DataError`, and one the ball map does not support raises
     :class:`ConfigError`, before the first restart.
 
-    When the process may run on two or more CPUs and the estimated work
-    reaches ``_POOL_PAIRS`` (see ``_workers``), the search runs on forked
-    worker processes: several restarts one restart per task, a single
-    geodesic restart its probes, and each worker computes its index values
-    itself, with no SDF helper. Every restart draws only from its own seed, and probes
-    are chosen in probe order, so the solutions have the same bits either
-    way; failed restarts are logged by this process, in restart order. The
-    workers' memory is their own, outside this process's resident set.
+    When the estimated work reaches ``_POOL_PAIRS`` (see ``_workers``), the
+    search runs on forked children: several restarts one per task, a single
+    geodesic restart its probes. Every restart draws only from its own seed,
+    and probes are chosen in probe order, so the solutions have the same
+    bits either way; failed restarts are logged here, in restart order.
     """
     if not 1 <= d <= x.p:
         raise DataError(f"d must be in [1, {x.p}] for {x.p} data columns, got {d}")
     idx_cfg = idx_cfg if idx_cfg is not None else IndexConfig()
     search_cfg = search_cfg if search_cfg is not None else SearchConfig()
-    # An unsupported d fails here, and forked workers inherit the cached nodes.
+    # An unsupported d fails here, and forked children inherit the cached nodes.
     projection_index._unit_ball_nodes(d, idx_cfg.sobol_skip, idx_cfg.n_nodes)
 
     job = (x, y, d, idx_cfg, search_cfg)

@@ -8,6 +8,7 @@ All numbers in the written files are serialized at 17 significant digits.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from contextlib import contextmanager
@@ -16,13 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _fork
 from .benchmarks import BenchmarkSpec, build_benchmark
 from .dataio import fmt_float, ingest_csv, standardize_columns
 from .errors import ConfigError, DataError, PipelineError
 from .frames import DataMatrix, ProjectedSample, ProjectionFrame, project, split_by_row_norm
 from .jsonconfig import build
 from .optimize import SearchConfig, SolutionProjection, run_search
-from .projection_index import IndexConfig, IndexValue, _may_fork, refine_index
+from .projection_index import IndexConfig, IndexValue, refine_index
 from .spatial import RegionSpec, SpatialMedianResult
 from .svgplot import emit_svg
 
@@ -336,43 +338,6 @@ def _write_views(out: Path, report: SolutionReport, data: DataMatrix, bench: Dat
         )
 
 
-def _views_in_child(conn, *views) -> None:
-    """Body of the view writer: ``_write_views(*views)``, then send its
-    exception, or None, to the parent."""
-    try:
-        _write_views(*views)
-        outcome = None
-    except Exception as err:
-        outcome = err
-    conn.send(outcome)
-
-
-class _ViewWriter:
-    """A forked child that runs ``_write_views`` while its parent refines."""
-
-    def __init__(self, *views):
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        self._conn, child_end = ctx.Pipe(duplex=False)
-        self._child = ctx.Process(target=_views_in_child, args=(child_end, *views),
-                                  name="benchpursuit-views")
-        self._child.start()
-        child_end.close()
-
-    def wait(self) -> Exception | None:
-        """The exception the child raised, if any, once it has exited."""
-        with self._conn:
-            try:
-                outcome = self._conn.recv()
-            except EOFError:  # it died without a word
-                outcome = None
-        self._child.join()
-        if outcome is None and self._child.exitcode:
-            return RuntimeError(f"the view writer exited with code {self._child.exitcode}")
-        return outcome
-
-
 def run(manifest: RunManifest) -> SolutionReport:
     """Execute a manifest end to end and write its outputs.
 
@@ -382,14 +347,10 @@ def run(manifest: RunManifest) -> SolutionReport:
     indistinguishable) is flagged degenerate; spatial-median non-convergence
     anywhere is flagged, not fatal.
 
-    When the process may fork (see ``projection_index._may_fork``), a child
-    forked right after the search writes every solution's CSVs and SVGs
-    while this process refines; its memory is its own, outside this
-    process's resident set. It is joined before the report stage ends, and
-    an error it raised is raised in stage ``report`` with the same message
-    and class, so the exit code is the same. Otherwise the views are
-    written in the report stage. Either way ``report.json`` is written last,
-    and every file has the same bytes.
+    When ``_fork.may_fork()`` holds, a child writes every solution's CSVs
+    and SVGs while this process refines; an error it raises, or its death,
+    is raised in stage ``report``. Otherwise the views are written in that
+    stage. Either way ``report.json`` is written last, with the same bytes.
     """
     with _stage("ingest"):
         x0 = _load_input(manifest)
@@ -404,20 +365,23 @@ def run(manifest: RunManifest) -> SolutionReport:
 
     out = Path(manifest.out_dir)
     report = SolutionReport(manifest, solutions)
-    writer = _ViewWriter(out, report, data, bench) if _may_fork() else None
+    views = functools.partial(_write_views, out, report, data, bench)
+    writer = _fork.Child(views, "view writer") if _fork.may_fork() else None
     try:
+        if writer:
+            writer.send()
         with _stage("refine"):
             for sol in solutions:
                 sol.refined_index = refine_index(sol.frame, data, bench, manifest.index_cfg)
+        with _stage("report"):
+            if writer:
+                writer.recv()
+            else:
+                views()
+            report.save(out / "report.json")
     finally:
-        view_error = writer.wait() if writer else None
-
-    with _stage("report"):
-        if writer is None:
-            _write_views(out, report, data, bench)
-        elif view_error is not None:
-            raise view_error
-        report.save(out / "report.json")
+        if writer:
+            writer.close()
     return report
 
 

@@ -12,134 +12,50 @@ from __future__ import annotations
 import functools
 import math
 import os
-import signal
 import sys
 import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _fork
 from .errors import ConfigError, DataError
 from .frames import DataMatrix, ProjectionFrame
 from .sobol import MAX_POINTS, SobolStream
 from .spatial import RegionSpec, combined_region, estimate_sdf_batch
 
 # Smallest min(n_x, n_y) x n_nodes at which index computes the two samples'
-# SDFs at the same time, one of them in the helper process. The gate was set
-# for a helper thread: on a 2-vCPU VM two threads ran at 0.80-1.04x of
-# serial speed below 2^19 pairs and at 0.98-1.78x from 2^19 up (sweep in
-# BENCH_16.json). At 20 000 points x 50 nodes per sample, two forked
-# processes ran 1.72-2.08x faster than serial, the thread 1.14-1.51x.
+# SDFs at the same time, one of them in the SDF helper. On a 2-vCPU VM the
+# two computed at once ran at 0.80-1.04x of serial speed below 2^19 pairs
+# and at 0.98-1.78x from 2^19 up (sweep in BENCH_16.json).
 _CONCURRENT_PAIRS = 1 << 19
 
-
-def _cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _may_fork() -> bool:
-    """Whether this process may fork a child to work beside it: it can fork,
-    may run on two CPUs, and is not daemonic (a daemonic process, such as a
-    multiprocessing pool's worker, may not have children)."""
-    if not hasattr(os, "fork") or _cpus() < 2:
-        return False
-    import multiprocessing  # imported on first use, not with the package
-
-    return not multiprocessing.current_process().daemon
+# The SDF helper of each process id. A process forked by other means
+# inherits its parent's entry, but has a new pid, so it forks its own.
+_helpers: dict[int, _fork.Child] = {}
+_helper_busy = threading.Lock()
 
 
-class _Helper:
-    """A forked process that computes ``estimate_sdf_batch`` for its parent.
-
-    It is sent (sample, targets) and sends back their SDF, or the exception
-    the call raised. It looks ``estimate_sdf_batch`` up in this module on each
-    call, so it runs what that name held when it was forked; only data cross
-    the pipe. It closes its copy of the parent's end of the pipe, so when the
-    parent exits, by SIGKILL too, it reads EOF and exits. It is forked with
-    ``os.fork`` rather than as a ``multiprocessing`` process, which would be
-    joined, not closed, at interpreter exit and listed among the parent's
-    active children for the life of the process.
-    """
-
-    def __init__(self):
-        from multiprocessing.connection import Pipe
-
-        self.conn, child = Pipe()
-        self.lock = threading.Lock()
-        self.pid = os.fork()
-        if self.pid == 0:
-            try:
-                self.conn.close()
-                _serve(child)
-            finally:
-                os._exit(0)
-        child.close()
-
-    def sdf_pair(self, px, py, targets) -> tuple[np.ndarray, np.ndarray]:
-        """The SDFs of ``px`` and ``py`` at ``targets``: ``px``'s computed in
-        the helper while this thread computes ``py``'s. If another thread is
-        using the helper, both are computed here, with the same bits.
-
-        An exchange cut short (the helper died, or an interrupt arrived
-        between the request and its reply) closes the pipe, so the helper
-        exits, and the next call forks a new one.
-        """
-        if not self.lock.acquire(blocking=False):
-            return estimate_sdf_batch(px, targets), estimate_sdf_batch(py, targets)
-        replied = False
+def _sdf_pair(px, py, targets) -> tuple[np.ndarray, np.ndarray]:
+    """The SDFs of ``px`` and ``py`` at ``targets``: ``px``'s computed in
+    this process's helper, forked on first use, while this thread computes
+    ``py``'s, or both here while another thread uses the helper. A helper
+    closed by an exchange cut short is replaced on the next call."""
+    if not _helper_busy.acquire(blocking=False):
+        return estimate_sdf_batch(px, targets), estimate_sdf_batch(py, targets)
+    pid = os.getpid()
+    try:
+        helper = _helpers[pid] = _helpers.get(pid) or _fork.Child(estimate_sdf_batch, "SDF helper")
+        helper.send(px, targets)
         try:
-            self.conn.send((px, targets))
-            try:
-                fy = estimate_sdf_batch(py, targets)
-            finally:
-                fx = self.conn.recv()
-                replied = True
+            fy = estimate_sdf_batch(py, targets)
         finally:
-            if not replied:
-                _helpers.pop(os.getpid(), None)
-                self.close()
-            self.lock.release()
-        if isinstance(fx, Exception):
-            raise fx
-        return fx, fy
-
-    def close(self) -> None:
-        """Close the pipe, so that the helper exits, and reap it."""
-        self.conn.close()
-        os.waitpid(self.pid, 0)
-
-
-def _serve(conn) -> None:
-    """The helper's loop, until the parent's end of ``conn`` closes. Ctrl-C
-    is left to the parent, which then collects the reply in flight."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    while True:
-        try:
-            sample, targets = conn.recv()
-        except EOFError:
-            return
-        try:
-            reply = estimate_sdf_batch(sample, targets)
-        except Exception as err:
-            reply = err
-        conn.send(reply)
-
-
-# The SDF helper of each process id. A forked child inherits its parent's
-# entry, but has a new pid, so it forks its own.
-_helpers: dict[int, _Helper] = {}
-_helpers_lock = threading.Lock()
-
-
-def _helper() -> _Helper:
-    """This process's SDF helper, forked on first use."""
-    with _helpers_lock:
-        pid = os.getpid()
-        if pid not in _helpers:
-            _helpers[pid] = _Helper()
-        return _helpers[pid]
+            fx = helper.recv()
+    finally:
+        if pid in _helpers and _helpers[pid].conn.closed:
+            del _helpers[pid]
+        _helper_busy.release()
+    return fx, fy
 
 
 @dataclass(frozen=True)
@@ -247,11 +163,9 @@ def index(
     ``cfg.n_nodes`` nodes.
 
     When the smaller sample times ``cfg.n_nodes`` reaches ``_CONCURRENT_PAIRS``
-    and the process may fork (see ``_may_fork``), ``x``'s SDF is computed in
-    the process's helper process while the caller computes ``y``'s. Each
-    target's sums keep their order in either process, so the value has the
-    same bits on either path. The helper is forked on first use and exits
-    with its parent.
+    and ``_fork.may_fork()`` holds, ``x``'s SDF is computed in the process's
+    SDF helper (see ``_sdf_pair``). Each target's sums keep their order in
+    either process, so the value has the same bits on either path.
 
     Raises:
         DataError: if the projections, the integration ball's volume or
@@ -273,11 +187,11 @@ def index(
     targets = region.center + region.effective_radius * _unit_ball_nodes(
         frame.d, cfg.sobol_skip, cfg.n_nodes
     )
-    if min(len(px), len(py)) * len(targets) < _CONCURRENT_PAIRS or not _may_fork():
+    if min(len(px), len(py)) * len(targets) < _CONCURRENT_PAIRS or not _fork.may_fork():
         fx = estimate_sdf_batch(px, targets)
         fy = estimate_sdf_batch(py, targets)
     else:
-        fx, fy = _helper().sdf_pair(px, py, targets)
+        fx, fy = _sdf_pair(px, py, targets)
     gap = float(np.linalg.norm(fx - fy, axis=1).mean())
     value = volume * gap
     if not math.isfinite(value):

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+
+from benchpursuit import projection_index
 
 # Populated by the acceptance tests via the `acceptance` fixture; printed
 # as one PASS/FAIL line per criterion after the run.
@@ -32,6 +36,19 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_sep("=", "acceptance criteria")
     for number, verdict, text in sorted(_ACCEPTANCE_LINES):
         terminalreporter.write_line(f"criterion {number}: {verdict} — {text}")
+
+
+def assert_no_child_left() -> None:
+    """Close this process's SDF helper, if it has one, then check that no
+    child process is left, running or unreaped."""
+    helper = projection_index._helpers.pop(os.getpid(), None)
+    if helper is not None:
+        helper.close()
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError(f"a child process is left: waitpid gave {left}")
 
 
 @pytest.fixture

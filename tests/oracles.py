@@ -106,10 +106,12 @@ def brute_median_objective(points: np.ndarray, cells: int = 2000) -> float:
     gx = np.linspace(lo[0], hi[0], cells)[:, None]
     gy = np.linspace(lo[1], hi[1], cells)[None, :]
     totals = np.zeros((cells, cells))
+    dist = np.empty_like(totals)
     for px, py in pts:
         dx = gx - px
         dy = gy - py
-        totals += np.sqrt(dx * dx + dy * dy)
+        np.add(dx * dx, dy * dy, out=dist)
+        totals += np.sqrt(dist, out=dist)
     return float(totals.min())
 
 
@@ -142,13 +144,18 @@ def grid_index_disc(
         points = np.asarray(points, dtype=float)
         ux = np.zeros_like(nx)
         uy = np.zeros_like(ny)
+        dx, dy, r, sq = (np.empty_like(nx) for _ in range(4))
+        ok = np.empty(nx.shape, dtype=bool)
         for px, py in points:
-            dx = px - nx
-            dy = py - ny
-            r = np.sqrt(dx * dx + dy * dy)
-            ok = r > 0.0
-            ux[ok] += dx[ok] / r[ok]
-            uy[ok] += dy[ok] / r[ok]
+            np.subtract(px, nx, out=dx)
+            np.subtract(py, ny, out=dy)
+            np.multiply(dx, dx, out=r)
+            r += np.multiply(dy, dy, out=sq)
+            np.sqrt(r, out=r)
+            np.greater(r, 0.0, out=ok)
+            # A point on a node (r == 0) pulls it nowhere.
+            np.add(ux, np.divide(dx, r, out=sq, where=ok), out=ux, where=ok)
+            np.add(uy, np.divide(dy, r, out=sq, where=ok), out=uy, where=ok)
         return ux / len(points), uy / len(points)
 
     sx, sy = mean_unit_pull(proj_x)

@@ -1,7 +1,7 @@
 import functools
 import json
-import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 import benchpursuit
-from benchpursuit import optimize, projection_index, spatial
+from benchpursuit import _fork, optimize, pipeline, projection_index, spatial
 from benchpursuit.benchmarks import lcg_triplets
 from benchpursuit.cli import main, parse_benchmark
 from benchpursuit.dataio import ingest_csv, write_csv
 from benchpursuit.errors import ConfigError
 from benchpursuit.frames import DataMatrix
+from conftest import assert_no_child_left
 
 
 @pytest.fixture
@@ -350,7 +351,7 @@ class TestRunCommand:
         """The same run with its restarts on worker processes: the worker
         returns the failure and the parent logs it."""
         monkeypatch.setattr(optimize, "_POOL_PAIRS", 0)
-        monkeypatch.setattr(optimize, "_cpus", lambda: 2)
+        monkeypatch.setattr(_fork, "cpus", lambda: 2)
         pools = []
         real_pool = optimize._on_workers
         monkeypatch.setattr(optimize, "_on_workers", lambda *a: pools.append(a) or real_pool(*a))
@@ -373,12 +374,47 @@ class TestRunCommand:
         assert "restart 1 (seed 4) failed: forced failure" in warnings[0].getMessage()
         assert len(pools) == 1
 
+    @pytest.mark.parametrize("child, module, name, stage, extra", [
+        ("SDF helper", projection_index, "estimate_sdf_batch", "search", ()),
+        ("restart worker", optimize, "anneal_search", "search", ()),
+        ("probe worker", optimize, "index", "search", ("--optimizer", "geodesic",
+                                                       "--restarts", "1")),
+        ("view writer", pipeline, "_write_views", "report", ()),
+    ], ids=["helper", "restart-worker", "probe-worker", "view-writer"])
+    def test_dead_child_exits_1(self, data_csv, tmp_path, capsys, monkeypatch, child, module,
+                                name, stage, extra):
+        """A child that dies (os._exit(3) stands for a kill) fails the run in
+        the stage that waits for it, with one RuntimeError naming the child
+        and its exit status, and no child is left."""
+        monkeypatch.setattr(_fork, "cpus", lambda: 2)
+        monkeypatch.setattr(optimize, "_POOL_PAIRS", 0)
+        if child == "SDF helper":
+            assert_no_child_left()  # so the next helper is forked with the patch below
+            monkeypatch.setattr(projection_index, "_CONCURRENT_PAIRS", 0)
+        parent = os.getpid()
+        real = getattr(module, name)
+
+        def exits_in_a_child(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, exits_in_a_child)
+        args = _run_args(data_csv, tmp_path / "out", *extra)
+        if child == "SDF helper":
+            args += ["--restarts", "1"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error in stage '{stage}': the {child}( \d)? \(pid \d+\) died "
+                            r"with exit status 3\n", err), err
+        assert_no_child_left()
+
     @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "view-writer"])
     def test_report_write_failure_exits_2(self, data_csv, tmp_path, capsys, monkeypatch, cpus):
         """A directory where solution_00_data.svg goes: one error line names
         stage 'report' and the file, no report.json is written, and no child
         process is left, whether the views are written here or in a child."""
-        monkeypatch.setattr(projection_index, "_cpus", lambda: cpus)
+        monkeypatch.setattr(_fork, "cpus", lambda: cpus)
         out = tmp_path / "out"
         (out / "solution_00_data.svg").mkdir(parents=True)
         assert main(_run_args(data_csv, out)) == 2
@@ -386,7 +422,7 @@ class TestRunCommand:
         assert err.startswith("error in stage 'report': ") and err.count("\n") == 1
         assert str(out / "solution_00_data.svg") in err
         assert not (out / "report.json").exists()
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_class_benchmark_names_the_label_column(self, data_csv, tmp_path):
         out = tmp_path / "out"

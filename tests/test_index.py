@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import benchpursuit as bp
 from benchpursuit import DataMatrix, IndexConfig, ProjectionFrame
 from benchpursuit.errors import ConfigError
+import benchpursuit._fork as _fork
 import benchpursuit.projection_index as projection_index
 import benchpursuit.spatial as spatial
 from benchpursuit.projection_index import ball_volume, map_to_ball
@@ -267,7 +268,7 @@ def _bits(value: bp.IndexValue) -> str:
 def concurrent(monkeypatch):
     """Every index call takes the two-process path, on any machine."""
     monkeypatch.setattr(projection_index, "_CONCURRENT_PAIRS", 0)
-    monkeypatch.setattr(projection_index, "_cpus", lambda: 2)
+    monkeypatch.setattr(_fork, "cpus", lambda: 2)
 
 
 def _drop_helper():
@@ -302,9 +303,10 @@ _SIGKILL_PARENT = """
 import os, sys, time
 import numpy as np
 import benchpursuit as bp
+import benchpursuit._fork as fork
 import benchpursuit.projection_index as pi
 pi._CONCURRENT_PAIRS = 0
-pi._cpus = lambda: 2
+fork.cpus = lambda: 2
 x = bp.DataMatrix(np.arange(40.0).reshape(20, 2), ("a", "b"))
 bp.index(bp.ProjectionFrame(np.eye(2)), x, x)
 os.close(int(sys.argv[1]))  # the helper keeps its copy of the pipe's write end
@@ -323,7 +325,7 @@ class TestConcurrentSdf:
         """Gate at 0 and at infinity give the same bits for index and
         refine_index; a small block makes the halved tiles differ."""
         monkeypatch.setattr(spatial, "_BLOCK_ELEMS", block)
-        monkeypatch.setattr(projection_index, "_cpus", lambda: 2)
+        monkeypatch.setattr(_fork, "cpus", lambda: 2)
         x, y = _instance(seed=d, n1=37, n2=53, p=4)
         f = bp.random_frame(4, d, np.random.default_rng(d))
         cfg = IndexConfig(n_nodes=50, n_nodes_refine=700)
@@ -366,14 +368,14 @@ class TestConcurrentSdf:
         assert os.getpid() in projection_index._helpers
         assert threading.active_count() == before
 
-    def test_one_cpu_never_creates_pool(self, monkeypatch):
+    def test_one_cpu_never_forks(self, monkeypatch):
         """A 1-CPU affinity never asks for the helper, nor forks."""
         def no_helper(*args, **kwargs):
             raise AssertionError("helper asked for on one CPU")
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(projection_index, "_helper", no_helper)
+        monkeypatch.setattr(projection_index, "_sdf_pair", no_helper)
         monkeypatch.setattr(os, "fork", no_helper)
         monkeypatch.setattr(projection_index, "_CONCURRENT_PAIRS", 0)
         x, y = _instance()
@@ -426,7 +428,7 @@ class TestConcurrentSdf:
         monkeypatch.setattr(projection_index, "_CONCURRENT_PAIRS", float("inf"))
         assert _bits(got) == _bits(bp.index(f, x, y))
 
-    def test_threads_share_the_worker(self, monkeypatch, concurrent):
+    def test_threads_share_the_helper(self, monkeypatch, concurrent):
         """More callers than cores, switching often, sharing the one helper."""
         rng = np.random.default_rng(11)
         f = ProjectionFrame(np.eye(2))
@@ -455,7 +457,7 @@ class TestConcurrentSdf:
         assert results == [[w] * 20 for w in want]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_forked_child_gets_its_own_worker(self, concurrent):
+    def test_forked_child_gets_its_own_helper(self, concurrent):
         x, y = _instance(seed=3, n1=50, n2=70)
         f = ProjectionFrame(np.eye(2))
         cfg = IndexConfig(n_nodes_refine=600)
@@ -504,7 +506,7 @@ class TestConcurrentSdf:
         has temporaries of its own, the caller's traced peak (the
         projections, nodes, results, the pickled request and its one tile)
         stays under 4 MB."""
-        monkeypatch.setattr(projection_index, "_cpus", lambda: 2)
+        monkeypatch.setattr(_fork, "cpus", lambda: 2)
         real_region = projection_index.combined_region
 
         def region_then_reset(*args, **kwargs):

@@ -8,6 +8,7 @@ import pytest
 
 import benchpursuit as bp
 from benchpursuit import (
+    _fork,
     AnnealConfig,
     DataMatrix,
     GeodesicConfig,
@@ -22,6 +23,7 @@ from benchpursuit.dataio import write_csv
 from benchpursuit.errors import ConfigError, PipelineError
 from benchpursuit.optimize import _GeodesicPath, largest_principal_angle, flag_duplicates
 from benchpursuit.pipeline import RunManifest, run
+from conftest import assert_no_child_left
 from oracles import random_orthogonal
 
 
@@ -392,7 +394,7 @@ def pooled(monkeypatch):
         return real(job, restart_ids, workers)
 
     monkeypatch.setattr(optimize, "_POOL_PAIRS", 0)
-    monkeypatch.setattr(optimize, "_cpus", lambda: 2)
+    monkeypatch.setattr(_fork, "cpus", lambda: 2)
     monkeypatch.setattr(optimize, "_on_workers", spy)
     return started
 
@@ -458,7 +460,7 @@ class TestRestartPool:
 
         got = both()
         assert pooled == [2]
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         monkeypatch.setattr(optimize, "_POOL_PAIRS", math.inf)
         want = both()
         assert pooled == [2]
@@ -480,14 +482,14 @@ class TestRestartPool:
         # one anneal restart never starts a pool
         assert pooled == [2, 2, 2]
 
-    def test_restarts_run_in_workers_without_sdf_thread(self, monkeypatch, pooled):
+    def test_restarts_run_in_workers_without_sdf_helper(self, monkeypatch, pooled):
         """With the SDF gate at 0 on two CPUs, the parent would use its SDF
         helper; the workers compute each index themselves, forking none."""
         x, y = self._data()
         cfg = SearchConfig(restarts=3, max_iterations=5, rng_seed=7)
         want = _fingerprint(bp.run_search(x, y, d=2, search_cfg=cfg))
         monkeypatch.setattr(projection_index, "_CONCURRENT_PAIRS", 0)
-        monkeypatch.setattr(projection_index, "_cpus", lambda: 2)
+        monkeypatch.setattr(_fork, "cpus", lambda: 2)
         parent = os.getpid()
         real = projection_index.estimate_sdf_batch
 
@@ -528,7 +530,7 @@ class TestRestartPool:
         cfg = SearchConfig(restarts=3, max_iterations=4, rng_seed=10)
         with pytest.raises(RuntimeError, match="worker crash"):
             bp.run_search(x, y, d=2, search_cfg=cfg)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         data_path = tmp_path / "data.csv"
         write_csv(x, data_path)
         manifest = RunManifest(data_path=str(data_path),
@@ -540,14 +542,12 @@ class TestRestartPool:
             run(manifest)
         assert info.value.stage == "search"
         assert isinstance(info.value.cause, RuntimeError)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         assert pooled == [2, 2]
 
     def test_dead_worker_raises(self, monkeypatch, pooled):
         """A worker that dies mid-restart (killed, say) fails the search
         instead of leaving it waiting for the lost restart."""
-        from concurrent.futures.process import BrokenProcessPool
-
         real = optimize.anneal_search
 
         def exit_on_seed_12(objective, start, cfg, rng):
@@ -557,10 +557,11 @@ class TestRestartPool:
 
         monkeypatch.setattr(optimize, "anneal_search", exit_on_seed_12)
         x, y = self._data()
-        with pytest.raises(BrokenProcessPool):
+        with pytest.raises(RuntimeError, match=r"^the restart worker \d \(pid \d+\) died "
+                                               r"with exit status 3$"):
             bp.run_search(x, y, d=2, search_cfg=SearchConfig(restarts=3, max_iterations=4,
                                                              rng_seed=10))
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         assert pooled == [2]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -572,7 +573,7 @@ class TestRestartPool:
                 SearchConfig(optimizer="geodesic", restarts=1, max_iterations=3, rng_seed=2))
         wants = [_fingerprint(bp.run_search(x, y, d=2, search_cfg=cfg)) for cfg in cfgs]
         monkeypatch.setattr(optimize, "_POOL_PAIRS", 0)
-        monkeypatch.setattr(optimize, "_cpus", lambda: 2)
+        monkeypatch.setattr(_fork, "cpus", lambda: 2)
         monkeypatch.setattr(optimize, "_on_workers", _no_pool)
         for cfg, want in zip(cfgs, wants):
             child = multiprocessing.get_context("fork").Process(
@@ -596,7 +597,7 @@ class TestRestartPool:
         geodesic = SearchConfig(optimizer="geodesic", restarts=3, max_iterations=4,
                                 geodesic=GeodesicConfig(n_probes=6))
         probes = replace(geodesic, restarts=1)
-        monkeypatch.setattr(optimize, "_cpus", lambda: 2)
+        monkeypatch.setattr(_fork, "cpus", lambda: 2)
         for cfg, work in ((anneal, 3 * 5 * 60 * 10), (geodesic, 3 * 25 * 60 * 10),
                           (probes, 1 * 25 * 60 * 10)):
             monkeypatch.setattr(optimize, "_POOL_PAIRS", work)
@@ -607,14 +608,14 @@ class TestRestartPool:
         assert optimize._workers(x, y, idx, SearchConfig(restarts=1)) == 1
         one_probe = replace(probes, geodesic=GeodesicConfig(n_probes=1))
         assert optimize._workers(x, y, idx, one_probe) == 1
-        monkeypatch.setattr(optimize, "_cpus", lambda: 8)
+        monkeypatch.setattr(_fork, "cpus", lambda: 8)
         assert optimize._workers(x, y, idx, anneal) == 3
         assert optimize._workers(x, y, idx, geodesic) == 3
         assert optimize._workers(x, y, idx, probes) == 6
         assert optimize._workers(x, y, idx, SearchConfig(restarts=1)) == 1
-        monkeypatch.setattr(optimize, "_cpus", lambda: 1)
+        monkeypatch.setattr(_fork, "cpus", lambda: 1)
         assert optimize._workers(x, y, idx, anneal) == 1
-        monkeypatch.setattr(optimize, "_cpus", lambda: 2)
+        monkeypatch.setattr(_fork, "cpus", lambda: 2)
         monkeypatch.delattr(os, "fork", raising=False)
         assert optimize._workers(x, y, idx, anneal) == 1
 
@@ -655,7 +656,7 @@ class TestProbePool:
     @pytest.fixture(autouse=True)
     def no_child_left(self):
         yield
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_pool_matches_serial(self, monkeypatch, tmp_path, pooled, d):
@@ -716,8 +717,6 @@ class TestProbePool:
     def test_dead_probe_worker_raises(self, monkeypatch, pooled):
         """A worker that dies while scoring a probe fails the search instead
         of leaving it waiting for the lost probe."""
-        from concurrent.futures.process import BrokenProcessPool
-
         x, y = self._data()
         cfg = SearchConfig(optimizer="geodesic", restarts=1, max_iterations=4, rng_seed=3,
                            geodesic=GeodesicConfig(n_probes=4))
@@ -730,6 +729,7 @@ class TestProbePool:
             return real(frame, *args)
 
         monkeypatch.setattr(optimize, "index", exit_in_worker)
-        with pytest.raises(BrokenProcessPool):
+        with pytest.raises(RuntimeError, match=r"^the probe worker \d \(pid \d+\) died "
+                                               r"with exit status 3$"):
             bp.run_search(x, y, d=2, search_cfg=cfg)
         assert pooled == [2]

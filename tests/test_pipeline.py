@@ -1,13 +1,12 @@
 import functools
 import json
-import multiprocessing
 import os
 from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
-from benchpursuit import pipeline, projection_index, spatial
+from benchpursuit import _fork, pipeline, spatial
 from benchpursuit.benchmarks import BenchmarkSpec
 from benchpursuit.dataio import write_csv
 from benchpursuit.errors import ConfigError, DataError, PipelineError
@@ -28,6 +27,7 @@ from benchpursuit.pipeline import (
 )
 from benchpursuit.projection_index import IndexConfig, IndexValue
 from benchpursuit.spatial import RegionSpec, SpatialMedianResult
+from conftest import assert_no_child_left
 
 
 def _write_data(tmp_path, rng, n=24, p=3):
@@ -331,11 +331,11 @@ class TestRun:
 
         monkeypatch.setattr(pipeline, "_write_views", spy)
         for cpus in (1, 2):
-            monkeypatch.setattr(projection_index, "_cpus", lambda: cpus)
+            monkeypatch.setattr(_fork, "cpus", lambda: cpus)
             run(_tiny_manifest(tmp_path, path, out_dir=str(tmp_path / f"cpus{cpus}")))
             writers[cpus] = int((tmp_path / f"cpus{cpus}.pid").read_text())
         assert writers[1] == os.getpid() != writers[2]
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         one, two = tmp_path / "cpus1", tmp_path / "cpus2"
         names = sorted(p.name for p in one.iterdir())
         assert names == sorted(p.name for p in two.iterdir()) and len(names) == 9
@@ -346,7 +346,7 @@ class TestRun:
             assert a == b, name
 
     def test_refine_failure_joins_the_view_writer(self, tmp_path, rng, monkeypatch):
-        monkeypatch.setattr(projection_index, "_cpus", lambda: 2)
+        monkeypatch.setattr(_fork, "cpus", lambda: 2)
 
         def fails(*args):
             raise DataError("refine failed")
@@ -355,7 +355,7 @@ class TestRun:
         path, _ = _write_data(tmp_path, rng)
         with pytest.raises(PipelineError, match="stage 'refine': refine failed"):
             run(_tiny_manifest(tmp_path, path))
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         assert not (tmp_path / "out" / "report.json").exists()
 
     def test_degenerate_flag(self, tmp_path, rng):
