@@ -15,10 +15,23 @@ from contextlib import contextmanager
 
 # True in a child forked here, which may not fork children of its own.
 _in_child = False
-# The parent's end of the pipe of each live child, by pid. A new child
-# closes its copies, so that no sibling keeps another's pipe open.
+# The parent's end of the pipe of each live child, by pid. Any fork waits for
+# the lock, so that no pipe is half made or half closed when it happens; the
+# forked process, however forked, then closes its copies of these ends, since
+# its parent's children are not its own.
 _live: dict = {}
-_live_lock = threading.Lock()
+_live_lock = threading.RLock()
+
+
+def _forget_children() -> None:
+    _live_lock.release()
+    while _live:
+        _live.popitem()[1].close()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=_live_lock.acquire, after_in_parent=_live_lock.release,
+                        after_in_child=_forget_children)
 
 
 def cpus() -> int:
@@ -80,8 +93,10 @@ class Child:
     def close(self) -> int:
         """Close the pipe, so that the child exits once its call ends, and
         reap it; its exit status."""
-        self.conn.close()
-        if _live.pop(self.pid, None):
+        with _live_lock:
+            self.conn.close()
+            live = _live.pop(self.pid, None)
+        if live:
             self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         return self.status
 
@@ -91,8 +106,7 @@ def _serve(fn, conn, own_end) -> None:
     try:
         _in_child = True
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-        for parent_end in (own_end, *_live.values()):
-            parent_end.close()
+        own_end.close()
         while True:
             try:
                 args = conn.recv()

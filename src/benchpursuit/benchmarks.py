@@ -83,6 +83,15 @@ def class_split(x: DataMatrix, label_column: str, level: str) -> tuple[DataMatri
     return subset_rows(x, in_level), subset_rows(x, rest)
 
 
+# The fields each benchmark kind uses besides ``kind``.
+_KIND_FIELDS = {
+    "external": ("path",),
+    "permutation": ("seed",),
+    "class_split": ("label_column", "level"),
+    "lcg": ("generator", "seed", "n_rows"),
+}
+
+
 @dataclass(frozen=True)
 class BenchmarkSpec:
     """Declarative description of how to build the benchmark sample.
@@ -100,6 +109,11 @@ class BenchmarkSpec:
     n_rows: int | None = None
 
     def __post_init__(self):
+        if self.kind not in _KIND_FIELDS:
+            raise ConfigError(f"unknown benchmark kind '{self.kind}'")
+        stray = [key for key in self.to_dict() if key not in ("kind", *_KIND_FIELDS[self.kind])]
+        if stray:
+            raise ConfigError(f"{self.kind} benchmark takes no {', '.join(stray)}")
         if self.kind == "external":
             if not self.path:
                 raise ConfigError("external benchmark needs a path")
@@ -111,7 +125,7 @@ class BenchmarkSpec:
         elif self.kind == "class_split":
             if not self.label_column or self.level is None:
                 raise ConfigError("class_split benchmark needs label_column and level")
-        elif self.kind == "lcg":
+        else:  # lcg
             if not self.generator or self.seed is None:
                 raise ConfigError("lcg benchmark needs generator and seed")
             if self.generator.lower() not in GENERATORS:
@@ -121,8 +135,6 @@ class BenchmarkSpec:
                 raise ConfigError(f"lcg seed must be in [1, {modulus - 1}], got {self.seed}")
             if self.n_rows is not None and self.n_rows < 1:
                 raise ConfigError("n_rows must be at least 1")
-        else:
-            raise ConfigError(f"unknown benchmark kind '{self.kind}'")
 
     def to_dict(self) -> dict:
         """The JSON form: every field that is set."""

@@ -108,6 +108,11 @@ class ProjectionFrame:
     def d(self) -> int:
         return self.matrix.shape[1]
 
+    @property
+    def rms_row_norm(self) -> float:
+        """sqrt(d/p): the root-mean-square row norm, the same for any p x d frame."""
+        return math.sqrt(self.d / self.p)
+
 
 @dataclass(frozen=True)
 class ProjectedSample:
@@ -198,13 +203,11 @@ def split_by_row_norm(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Partition the row indices of a frame by Euclidean row norm.
 
-    The default threshold sqrt(d/p) is the root-mean-square row norm of any
-    frame, so rows above it carry more than an even share of the projection
-    weight. Ties go to the high side. Returns ``(low, high)`` as sorted
-    0-based index arrays.
+    The default threshold is ``frame.rms_row_norm``, sqrt(d/p), so rows above
+    it carry more than an even share of the projection weight. Ties go to
+    the high side. Returns ``(low, high)`` as sorted 0-based index arrays.
     """
-    if threshold is None:
-        threshold = math.sqrt(frame.d / frame.p)
+    threshold = frame.rms_row_norm if threshold is None else threshold
     if not threshold >= 0:
         raise ConfigError(f"threshold must be a nonnegative number, got {threshold!r}")
     norms = np.linalg.norm(frame.matrix, axis=1)

@@ -23,9 +23,9 @@ from .projection_index import IndexConfig, IndexValue, index
 log = logging.getLogger(__name__)
 
 # Smallest estimated search work, in sample-point x node pairs (see
-# ``_workers``), at which run_search runs a search on worker processes.
-# Starting them costs about 25 ms on a 2-vCPU VM, where they lost to one
-# process up to 8.4e5 pairs and won from 1.3e6 up (sweep in BENCH_18.json).
+# ``_workers``), at which run_search forks children for a search. On a 2-vCPU
+# VM two children ran at 0.68-1.19x of one process's speed up to 7.5e5 pairs
+# and at 1.07-1.56x from 1.2e6 up (sweep in BENCH_27.json).
 _POOL_PAIRS = 2_000_000
 
 

@@ -424,8 +424,8 @@ def split_and_project(
         data = _load_input(report.manifest)
     if data.p != frame.p:
         raise DataError(f"data has {data.p} columns but frame has {frame.p} rows")
+    threshold = frame.rms_row_norm if threshold is None else threshold
     low, high = split_by_row_norm(frame, threshold)
-    used_threshold = threshold if threshold is not None else math.sqrt(frame.d / frame.p)
 
     def side(rows: np.ndarray) -> tuple[np.ndarray, ProjectedSample]:
         sub = frame.matrix[rows, :]
@@ -446,11 +446,11 @@ def split_and_project(
         view = {k: _file_name(solution_id, f"{tag}_{k}") for k in kinds}
         variables = [data.column_names[r] for r in rows]
         _write_view(out, view, sub, variables, [(data.row_labels, sample)], label_name)
-        title = f"solution {solution_id:02d} {tag} rows={len(rows)} threshold={used_threshold:.6g}"
+        title = f"solution {solution_id:02d} {tag} rows={len(rows)} threshold={threshold:.6g}"
         (out / view["svg"]).write_text(emit_svg([sample], title=title), encoding="utf-8")
         files.update({f"{tag}_{k}": name for k, name in view.items()})
     return SplitProjection(
-        threshold=used_threshold,
+        threshold=threshold,
         low_rows=low,
         high_rows=high,
         low_frame=low_frame,

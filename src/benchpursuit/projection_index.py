@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import sys
 import threading
 from dataclasses import dataclass, replace
@@ -25,35 +24,34 @@ from .sobol import MAX_POINTS, SobolStream
 from .spatial import RegionSpec, combined_region, estimate_sdf_batch
 
 # Smallest min(n_x, n_y) x n_nodes at which index computes the two samples'
-# SDFs at the same time, one of them in the SDF helper. On a 2-vCPU VM the
-# two computed at once ran at 0.80-1.04x of serial speed below 2^19 pairs
-# and at 0.98-1.78x from 2^19 up (sweep in BENCH_16.json).
+# SDFs at the same time, one of them in the SDF helper. On a 2-vCPU VM that
+# ran at 0.82-1.12x of serial speed up to 3.2e4 pairs, 1.08-1.43x from 6.4e4
+# to 2.6e5 and 1.48-1.94x from 5.1e5 up (sweep in BENCH_27.json).
 _CONCURRENT_PAIRS = 1 << 19
 
-# The SDF helper of each process id. A process forked by other means
-# inherits its parent's entry, but has a new pid, so it forks its own.
-_helpers: dict[int, _fork.Child] = {}
+# This process's SDF helper; one whose pipe is closed, by Child.close or by
+# a fork in the forked process, is replaced on the next use.
+_helper: _fork.Child | None = None
 _helper_busy = threading.Lock()
 
 
 def _sdf_pair(px, py, targets) -> tuple[np.ndarray, np.ndarray]:
-    """The SDFs of ``px`` and ``py`` at ``targets``: ``px``'s computed in
-    this process's helper, forked on first use, while this thread computes
-    ``py``'s, or both here while another thread uses the helper. A helper
-    closed by an exchange cut short is replaced on the next call."""
-    if not _helper_busy.acquire(blocking=False):
+    """The SDFs of ``px`` and ``py`` at ``targets``: ``px``'s computed in the
+    helper while this thread computes ``py``'s, from ``_CONCURRENT_PAIRS``
+    pairs up if ``_fork.may_fork()`` and no other thread is using it."""
+    global _helper
+    if (min(len(px), len(py)) * len(targets) < _CONCURRENT_PAIRS or not _fork.may_fork()
+            or not _helper_busy.acquire(blocking=False)):
         return estimate_sdf_batch(px, targets), estimate_sdf_batch(py, targets)
-    pid = os.getpid()
     try:
-        helper = _helpers[pid] = _helpers.get(pid) or _fork.Child(estimate_sdf_batch, "SDF helper")
-        helper.send(px, targets)
+        if _helper is None or _helper.conn.closed:
+            _helper = _fork.Child(estimate_sdf_batch, "SDF helper")
+        _helper.send(px, targets)
         try:
             fy = estimate_sdf_batch(py, targets)
         finally:
-            fx = helper.recv()
+            fx = _helper.recv()
     finally:
-        if pid in _helpers and _helpers[pid].conn.closed:
-            del _helpers[pid]
         _helper_busy.release()
     return fx, fy
 
@@ -162,9 +160,9 @@ def index(
     """Index of ``frame`` for data ``x`` against benchmark ``y``, scored at
     ``cfg.n_nodes`` nodes.
 
-    When the smaller sample times ``cfg.n_nodes`` reaches ``_CONCURRENT_PAIRS``
-    and ``_fork.may_fork()`` holds, ``x``'s SDF is computed in the process's
-    SDF helper (see ``_sdf_pair``). Each target's sums keep their order in
+    The two samples' SDFs come from ``_sdf_pair``, which computes ``x``'s in
+    the process's SDF helper when the smaller sample times ``cfg.n_nodes``
+    reaches ``_CONCURRENT_PAIRS``. Each target's sums keep their order in
     either process, so the value has the same bits on either path.
 
     Raises:
@@ -187,11 +185,7 @@ def index(
     targets = region.center + region.effective_radius * _unit_ball_nodes(
         frame.d, cfg.sobol_skip, cfg.n_nodes
     )
-    if min(len(px), len(py)) * len(targets) < _CONCURRENT_PAIRS or not _fork.may_fork():
-        fx = estimate_sdf_batch(px, targets)
-        fy = estimate_sdf_batch(py, targets)
-    else:
-        fx, fy = _sdf_pair(px, py, targets)
+    fx, fy = _sdf_pair(px, py, targets)
     gap = float(np.linalg.norm(fx - fy, axis=1).mean())
     value = volume * gap
     if not math.isfinite(value):

@@ -41,9 +41,8 @@ def pytest_terminal_summary(terminalreporter):
 def assert_no_child_left() -> None:
     """Close this process's SDF helper, if it has one, then check that no
     child process is left, running or unreaped."""
-    helper = projection_index._helpers.pop(os.getpid(), None)
-    if helper is not None:
-        helper.close()
+    if projection_index._helper is not None:
+        projection_index._helper.close()
     try:
         left = os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:

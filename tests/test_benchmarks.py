@@ -174,6 +174,21 @@ class TestBenchmarkSpec:
             BenchmarkSpec.from_dict({"kind": "permutation", "seed": 0, "oops": 1})
 
     @pytest.mark.parametrize(
+        "raw, stray",
+        [
+            ({"kind": "permutation", "seed": 1, "path": "x.csv"}, "path"),
+            ({"kind": "external", "path": "x.csv", "seed": 1, "generator": "randu"},
+             "seed, generator"),
+            ({"kind": "lcg", "generator": "randu", "seed": 1, "label_column": "g", "level": "a"},
+             "label_column, level"),
+            ({"kind": "class_split", "label_column": "g", "level": "a", "n_rows": 5}, "n_rows"),
+        ],
+    )
+    def test_field_the_kind_does_not_use_rejected(self, raw, stray):
+        with pytest.raises(ConfigError, match=f"^{raw['kind']} benchmark takes no {stray}$"):
+            BenchmarkSpec.from_dict(raw)
+
+    @pytest.mark.parametrize(
         "raw",
         [
             {"kind": "permutation", "seed": True},

@@ -170,9 +170,10 @@ class TestRunCommand:
             {"dim": 4},
             {"index": {"k": float("inf")}},
             {"search": {"anneal": {"t0": float("nan")}}},
+            {"benchmark": {"kind": "permutation", "seed": 7, "path": "x.csv"}},
         ],
         ids=["bad-anneal-value", "unknown-geodesic-key", "non-integer-dim", "dim-4", "k-inf",
-             "t0-nan"],
+             "t0-nan", "field-the-benchmark-kind-does-not-use"],
     )
     def test_bad_manifest_setting_exits_1(self, data_csv, tmp_path, capsys, settings):
         manifest = {

@@ -83,6 +83,65 @@ def test_a_sibling_does_not_keep_a_childs_pipe_open():
     assert_no_child_left()
 
 
+def test_any_fork_drops_the_parents_children():
+    """A process forked by other means than Child closes its copies of its
+    parent's children's pipes, and forks children of its own."""
+    kid = Child(_square, "squarer")
+    try:
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                own = Child(_square, "own")
+                own.send(3)
+                dropped = kid.conn.closed and list(_fork._live) == [own.pid]
+                status = 0 if dropped and own.recv() == 9 and own.close() == 0 else 2
+            finally:
+                os._exit(status)
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        kid.send(2)
+        assert kid.recv() == 4
+    finally:
+        kid.close()
+    assert_no_child_left()
+
+
+def test_a_fork_waits_for_a_child_being_made(monkeypatch):
+    """A fork from one thread while another makes and closes children waits
+    for the child being made or closed, so the forked process inherits
+    neither the registry's lock held nor a pipe end half closed, and forks a
+    child of its own."""
+    Child(_square, "first").close()  # imported before any fork, not during one
+    unraisable = []  # what the at-fork rule raises in a forked process
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    stop = threading.Event()
+
+    def churn():
+        while not stop.is_set():
+            Child(_square, "churned").close()
+
+    churner = threading.Thread(target=churn)
+    churner.start()
+    try:
+        for _ in range(100):
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(10)  # a lock inherited held would block for ever
+                status = 1
+                try:
+                    own = Child(_square, "own")
+                    ok = not unraisable and list(_fork._live) == [own.pid]
+                    status = 0 if ok and own.close() == 0 else 2
+                finally:
+                    os._exit(status)
+            assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    finally:
+        stop.set()
+        churner.join(timeout=10)
+    assert not churner.is_alive()
+    assert_no_child_left()
+
+
 def _item(i):
     if i == 1:
         time.sleep(0.3)

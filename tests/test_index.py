@@ -1,6 +1,8 @@
+import contextlib
 import multiprocessing
 import os
 import select
+import signal
 import subprocess
 import sys
 import threading
@@ -273,9 +275,14 @@ def concurrent(monkeypatch):
 
 def _drop_helper():
     """Close this process's SDF helper, if it has one, and reap it."""
-    helper = projection_index._helpers.pop(os.getpid(), None)
-    if helper is not None:
-        helper.close()
+    if projection_index._helper is not None:
+        projection_index._helper.close()
+
+
+def _live_helper():
+    """This process's SDF helper if it has a live one, else None."""
+    helper = projection_index._helper
+    return helper if helper is not None and _fork._live.get(helper.pid) is helper.conn else None
 
 
 @pytest.fixture
@@ -287,20 +294,22 @@ def fresh_helper():
     _drop_helper()
 
 
-def _child_index(frame, x, y, cfg, want):
+def _child_index(frame, x, y, cfg, want, parents_helper):
     """Runs in a forked child; a mismatch exits non-zero."""
+    assert _live_helper() is None, "the child kept its parent's helper"
     assert _bits(bp.refine_index(frame, x, y, cfg)) == want
-    assert os.getpid() in projection_index._helpers, "the child used no helper of its own"
+    assert _live_helper() is not None, "the child used no helper of its own"
+    assert _live_helper().pid != parents_helper
 
 
 def _daemon_index(frame, x, y, want):
     """Runs in a daemonic forked child; a mismatch or a helper exits non-zero."""
     assert _bits(bp.index(frame, x, y)) == want
-    assert os.getpid() not in projection_index._helpers, "a daemonic process forked a helper"
+    assert _live_helper() is None, "a daemonic process forked a helper"
 
 
 _SIGKILL_PARENT = """
-import os, sys, time
+import multiprocessing, os, sys, time
 import numpy as np
 import benchpursuit as bp
 import benchpursuit._fork as fork
@@ -310,7 +319,12 @@ fork.cpus = lambda: 2
 x = bp.DataMatrix(np.arange(40.0).reshape(20, 2), ("a", "b"))
 bp.index(bp.ProjectionFrame(np.eye(2)), x, x)
 os.close(int(sys.argv[1]))  # the helper keeps its copy of the pipe's write end
-print(pi._helpers[os.getpid()].pid, flush=True)
+pids = [pi._helper.pid]
+if sys.argv[2] == "beside a multiprocessing child":
+    sleeper = multiprocessing.get_context("fork").Process(target=time.sleep, args=(60,))
+    sleeper.start()
+    pids.append(sleeper.pid)
+print(*pids, flush=True)
 time.sleep(60)
 """
 
@@ -349,7 +363,7 @@ class TestConcurrentSdf:
         code = (
             "import os, sys, threading, benchpursuit, benchpursuit.projection_index as pi; "
             "assert threading.active_count() == 1, threading.enumerate(); "
-            "assert pi._helpers == {}; "
+            "assert pi._helper is None; "
             "assert 'multiprocessing' not in sys.modules; "
             "pid = None\n"
             "try: pid = os.waitpid(-1, os.WNOHANG)\n"
@@ -365,7 +379,7 @@ class TestConcurrentSdf:
         before = threading.active_count()
         x, y = _instance(seed=4)
         bp.index(ProjectionFrame(np.eye(2)), x, y)
-        assert os.getpid() in projection_index._helpers
+        assert _live_helper() is not None
         assert threading.active_count() == before
 
     def test_one_cpu_never_forks(self, monkeypatch):
@@ -375,7 +389,7 @@ class TestConcurrentSdf:
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(projection_index, "_sdf_pair", no_helper)
+        monkeypatch.setattr(_fork, "Child", no_helper)
         monkeypatch.setattr(os, "fork", no_helper)
         monkeypatch.setattr(projection_index, "_CONCURRENT_PAIRS", 0)
         x, y = _instance()
@@ -422,9 +436,9 @@ class TestConcurrentSdf:
         with pytest.raises(RuntimeError, match=f"^{message}$"):
             bp.index(f, x, y)
         armed[0] = False
-        helper = projection_index._helpers[parent]
+        helper = _live_helper()
         got = bp.index(f, y, x)
-        assert projection_index._helpers[parent] is helper
+        assert _live_helper() is helper is not None
         monkeypatch.setattr(projection_index, "_CONCURRENT_PAIRS", float("inf"))
         assert _bits(got) == _bits(bp.index(f, x, y))
 
@@ -462,9 +476,9 @@ class TestConcurrentSdf:
         f = ProjectionFrame(np.eye(2))
         cfg = IndexConfig(n_nodes_refine=600)
         want = _bits(bp.refine_index(f, x, y, cfg))
-        assert os.getpid() in projection_index._helpers
+        assert _live_helper() is not None
         child = multiprocessing.get_context("fork").Process(
-            target=_child_index, args=(f, x, y, cfg, want)
+            target=_child_index, args=(f, x, y, cfg, want, _live_helper().pid)
         )
         child.start()
         child.join(timeout=60)
@@ -477,28 +491,36 @@ class TestConcurrentSdf:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_helper_exits_with_a_sigkilled_parent(self):
         """The helper holds the write end of a pipe that only it keeps open,
-        so the read end reaches EOF once the helper has exited."""
-        read_end, write_end = os.pipe()
+        so the read end reaches EOF once the helper has exited. It exits
+        also when the parent has started a fork-context multiprocessing
+        child that is still asleep, since that child keeps no copy of the
+        helper's pipe."""
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        parent = subprocess.Popen(
-            [sys.executable, "-c", _SIGKILL_PARENT, str(write_end)], env=env,
-            stdout=subprocess.PIPE, text=True, pass_fds=(write_end,)
-        )
-        os.close(write_end)
-        try:
-            helper_pid = int(parent.stdout.readline())
-            assert helper_pid not in (0, parent.pid)
-            parent.kill()
-            parent.wait(timeout=10)
-            os.set_blocking(read_end, True)
-            ready, _, _ = select.select([read_end], [], [], 10)
-            assert ready, "the helper outlived its SIGKILLed parent by 10 s"
-            assert os.read(read_end, 1) == b""
-        finally:
-            parent.kill()
-            parent.wait(timeout=10)
-            parent.stdout.close()
-            os.close(read_end)
+        for case in ("alone", "beside a multiprocessing child"):
+            read_end, write_end = os.pipe()
+            parent = subprocess.Popen(
+                [sys.executable, "-c", _SIGKILL_PARENT, str(write_end), case], env=env,
+                stdout=subprocess.PIPE, text=True, pass_fds=(write_end,)
+            )
+            os.close(write_end)
+            pids = []
+            try:
+                pids = [int(pid) for pid in parent.stdout.readline().split()]
+                assert pids[0] not in (0, parent.pid)
+                parent.kill()
+                parent.wait(timeout=10)
+                os.set_blocking(read_end, True)
+                ready, _, _ = select.select([read_end], [], [], 10)
+                assert ready, f"the helper ({case}) outlived its SIGKILLed parent by 10 s"
+                assert os.read(read_end, 1) == b""
+            finally:
+                parent.kill()
+                parent.wait(timeout=10)
+                parent.stdout.close()
+                os.close(read_end)
+                for pid in pids[1:]:
+                    with contextlib.suppress(ProcessLookupError):
+                        os.kill(pid, signal.SIGKILL)
 
     def test_two_tiles_share_one_tiles_memory(self, monkeypatch):
         """One concurrent call on 20 000 x 2 against 20 000 x 2 points at
@@ -527,5 +549,5 @@ class TestConcurrentSdf:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert os.getpid() in projection_index._helpers
+        assert _live_helper() is not None
         assert peak < 4 * 2**20
