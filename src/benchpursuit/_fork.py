@@ -16,9 +16,10 @@ from contextlib import contextmanager
 # True in a child forked here, which may not fork children of its own.
 _in_child = False
 # The parent's end of the pipe of each live child, by pid. Any fork waits for
-# the lock, so that no pipe is half made or half closed when it happens; the
-# forked process, however forked, then closes its copies of these ends, since
-# its parent's children are not its own.
+# the lock, so that no pipe is half made or half closed, and no module this
+# file imports on first use half imported, when it happens; the forked
+# process, however forked, then closes its copies of these ends, since its
+# parent's children are not its own.
 _live: dict = {}
 _live_lock = threading.RLock()
 
@@ -46,7 +47,8 @@ def may_fork() -> bool:
     worker is) and is not a child forked here."""
     if _in_child or not hasattr(os, "fork") or cpus() < 2:
         return False
-    import multiprocessing  # imported on first use, not with the package
+    with _live_lock:  # imported on first use, and not while a fork happens
+        import multiprocessing
 
     return not multiprocessing.current_process().daemon
 
@@ -56,10 +58,10 @@ class Child:
     ``name`` names it in the error raised if it dies."""
 
     def __init__(self, fn, name: str):
-        from multiprocessing.connection import Pipe
-
         self.name, self.status = name, None
         with _live_lock:
+            from multiprocessing.connection import Pipe
+
             self.conn, child_end = Pipe()
             self.pid = os.fork()
             if self.pid == 0:

@@ -1,6 +1,6 @@
 """Benchmark construction: the known-structure sample a projection is scored against.
 
-Four kinds are supported: an external file with matching columns, an
+Four kinds are supported: an external file with the data's columns, in order, an
 independent per-column permutation of the data (breaking joint structure
 while keeping marginals), a split of the data by class label, and classic
 linear congruential generator triplets whose lattice defects are the
@@ -149,12 +149,17 @@ def build_benchmark(spec: BenchmarkSpec, x: DataMatrix) -> tuple[DataMatrix, Dat
     """Resolve ``spec`` against ``x`` into the (data, benchmark) pair.
 
     For a class split the data side is the selected level; for every other
-    kind the data side is ``x`` unchanged.
+    kind the data side is ``x`` unchanged. An external file must have the
+    data's column names in the data's order, or DataError is raised.
     """
     if spec.kind == "external":
         y = ingest_csv(spec.path)
-        if y.p != x.p:
-            raise DataError(f"benchmark has {y.p} columns but data has {x.p}")
+        if y.column_names != x.column_names:
+            what = (f"benchmark has {y.p} columns but data has {x.p}" if y.p != x.p
+                    else "benchmark columns differ from the data's")
+            raise DataError(
+                f"{what}: benchmark {list(y.column_names)}, data {list(x.column_names)}"
+            )
         return x, y
     if spec.kind == "permutation":
         return x, permutation_benchmark(x, spec.seed)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -55,14 +56,13 @@ def ingest_csv(path, label_column: str | None = None) -> DataMatrix:
             raise DataError(f"{path}:1: no numeric column")
         names = tuple(header[j] for j in numeric_idx)
 
-        rows: list[list[float]] = []
+        values = array("d")  # 8 bytes a cell; Python floats in row lists take about 60
         labels: list[str] = []
         for line_no, row in enumerate(reader, start=2):
             if not row or all(cell.strip() == "" for cell in row):
                 continue
             if len(row) != len(header):
                 raise DataError(f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}")
-            parsed = []
             for j in numeric_idx:
                 cell = row[j].strip()
                 try:
@@ -75,14 +75,13 @@ def ingest_csv(path, label_column: str | None = None) -> DataMatrix:
                     raise DataError(
                         f"{path}:{line_no}: column '{header[j]}': non-finite value '{cell}'"
                     )
-                parsed.append(value)
-            rows.append(parsed)
+                values.append(value)
             if label_idx is not None:
                 labels.append(row[label_idx].strip())
-    if not rows:
+    if not values:
         raise DataError(f"{path}: no data rows")
     return DataMatrix(
-        values=np.array(rows, dtype=float),
+        values=np.frombuffer(values).reshape(-1, len(names)),
         column_names=names,
         row_labels=tuple(labels) if label_idx is not None else None,
         label_name=label_column,

@@ -10,7 +10,6 @@ the three pairwise coordinate panels side by side.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -27,6 +26,13 @@ _STYLES = {
     "benchmark": ("cross", "#c96a1f"),
 }
 _FALLBACK_STYLE = ("square", "#5a5a5a")
+
+
+def escape(text: str) -> str:
+    """``text`` with ``&``, ``>`` and ``<`` as XML entities, replaced in that
+    order as by ``xml.sax.saxutils.escape``, whose import loads the HTTP and
+    SSL modules too."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(x: float) -> str:

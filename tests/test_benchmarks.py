@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -264,6 +266,24 @@ class TestBuildBenchmark:
         path = tmp_path / "bench.csv"
         write_csv(narrow, path)
         with pytest.raises(DataError, match="benchmark has 2 columns but data has 3"):
+            bp.build_benchmark(BenchmarkSpec(kind="external", path=str(path)), x)
+
+    @pytest.mark.parametrize(
+        "names, shown",
+        [(("c", "b", "a"), "benchmark ['c', 'b', 'a'], data ['a', 'b', 'c']"),
+         (("a", "b", "z"), "benchmark ['a', 'b', 'z'], data ['a', 'b', 'c']")],
+        ids=["reversed", "renamed"],
+    )
+    def test_external_kind_checks_column_names(self, rng, tmp_path, names, shown):
+        """The same number of columns is not enough: the names must match,
+        in order."""
+        from benchpursuit.dataio import write_csv
+
+        x = DataMatrix(rng.standard_normal((5, 3)), ("a", "b", "c"))
+        path = tmp_path / "bench.csv"
+        write_csv(DataMatrix(rng.standard_normal((4, 3)), names), path)
+        message = f"^benchmark columns differ from the data's: {re.escape(shown)}$"
+        with pytest.raises(DataError, match=message):
             bp.build_benchmark(BenchmarkSpec(kind="external", path=str(path)), x)
 
     def test_class_split_kind(self):

@@ -282,6 +282,19 @@ class TestRunCommand:
         assert main(args) == 0
         assert "degenerate run: every solution scored exactly zero" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("names", [("v2", "v1", "v0"), ("v0", "v1", "w2")],
+                             ids=["reversed", "renamed"])
+    def test_benchmark_with_other_columns_exits_2(self, data_csv, tmp_path, rng, capsys, names):
+        bench = tmp_path / "bench.csv"
+        write_csv(DataMatrix(rng.standard_normal((20, 3)), names), bench)
+        args = _run_args(data_csv, tmp_path / "o")
+        args[args.index("permute:7")] = f"file:{bench}"
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error in stage 'benchmark': benchmark columns differ from the "
+                              f"data's: benchmark {list(names)}, data ['v0', 'v1', 'v2']")
+        assert not (tmp_path / "o" / "report.json").exists()
+
     def test_unparseable_data_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,huh\n")

@@ -111,7 +111,6 @@ def test_a_fork_waits_for_a_child_being_made(monkeypatch):
     for the child being made or closed, so the forked process inherits
     neither the registry's lock held nor a pipe end half closed, and forks a
     child of its own."""
-    Child(_square, "first").close()  # imported before any fork, not during one
     unraisable = []  # what the at-fork rule raises in a forked process
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
     stop = threading.Event()
@@ -140,6 +139,56 @@ def test_a_fork_waits_for_a_child_being_made(monkeypatch):
         churner.join(timeout=10)
     assert not churner.is_alive()
     assert_no_child_left()
+
+
+_FIRST_IMPORT = """
+import os, signal, sys, threading
+from benchpursuit import _fork
+
+_fork.cpus = lambda: 2
+assert "multiprocessing" not in sys.modules, "imported with the package"
+
+
+def square(v):
+    return v * v
+
+
+def churn():
+    while not stop.is_set():
+        _fork.may_fork()
+        _fork.Child(square, "churned").close()
+
+
+stop = threading.Event()
+churner = threading.Thread(target=churn)
+churner.start()
+try:
+    for k in range(30):
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(5)  # a module lock inherited held would block for ever
+            status = 1
+            try:
+                status = 0 if _fork.may_fork() and _fork.Child(square, "own").close() == 0 else 2
+            finally:
+                os._exit(status)
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        assert status == 0, f"fork {k}: the forked process ended with status {status}"
+finally:
+    stop.set()
+    churner.join()
+"""
+
+
+def test_a_fork_waits_for_a_first_import():
+    """In a fresh interpreter, where no child has been made, a fork from one
+    thread while another imports ``multiprocessing`` for its first gate and
+    child waits for the import, so the forked process does not block on a
+    module lock inherited held, and forks a child of its own."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", _FIRST_IMPORT], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _item(i):

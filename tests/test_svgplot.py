@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -5,7 +8,7 @@ import pytest
 
 from benchpursuit.errors import ConfigError, DataError
 from benchpursuit.frames import ProjectedSample
-from benchpursuit.svgplot import emit_svg
+from benchpursuit.svgplot import emit_svg, escape
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -51,6 +54,36 @@ def test_title_escaped(rng):
     svg = emit_svg(_samples_2d(rng), title="a < b & c")
     assert "a &lt; b &amp; c" in svg
     ET.fromstring(svg)  # still parses
+
+
+def test_escape_matches_saxutils():
+    """The module's own escape, which replaces what saxutils' would."""
+    from xml.sax.saxutils import escape as sax_escape
+
+    assert escape.__module__ == "benchpursuit.svgplot"
+    for text in ["a < b & c > d", "&amp;", "<&>", "&lt;&gt;", "", "plain"]:
+        assert escape(text) == sax_escape(text)
+
+
+_NEW_MODULES = """
+import sys
+before = set(sys.modules)
+import benchpursuit
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_loads_no_xml_http_or_ssl():
+    """``import benchpursuit`` in a fresh interpreter adds none of the XML,
+    HTTP, e-mail or SSL modules; the set is compared before and after the
+    import, since site hooks load modules of their own."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", _NEW_MODULES], env=env, timeout=60,
+                          capture_output=True, text=True, check=True)
+    added = set(proc.stdout.split())
+    assert "benchpursuit.svgplot" in added
+    heavy = {"xml.sax", "urllib.request", "http.client", "email", "ssl"}
+    assert not heavy & added, sorted(heavy & added)
 
 
 def test_axis_names_rendered(rng):
