@@ -24,8 +24,10 @@ log = logging.getLogger(__name__)
 
 # Smallest estimated search work, in sample-point x node pairs (see
 # ``_workers``), at which run_search forks children for a search. On a 2-vCPU
-# VM two children ran at 0.68-1.19x of one process's speed up to 7.5e5 pairs
-# and at 1.07-1.56x from 1.2e6 up (sweep in BENCH_27.json).
+# VM two children ran two anneal restarts at 0.83-1.05x of one process's
+# speed up to 6.1e5 pairs and at 1.07-1.24x from 1.2e6 up; the probes of one
+# geodesic restart ran at 0.71-1.01x up to 6.0e6 pairs and 1.14-1.48x from
+# 1.2e7 up (sweep in BENCH_31.json).
 _POOL_PAIRS = 2_000_000
 
 

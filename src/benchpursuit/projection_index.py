@@ -24,9 +24,10 @@ from .sobol import MAX_POINTS, SobolStream
 from .spatial import RegionSpec, combined_region, estimate_sdf_batch
 
 # Smallest min(n_x, n_y) x n_nodes at which index computes the two samples'
-# SDFs at the same time, one of them in the SDF helper. On a 2-vCPU VM that
-# ran at 0.82-1.12x of serial speed up to 3.2e4 pairs, 1.08-1.43x from 6.4e4
-# to 2.6e5 and 1.48-1.94x from 5.1e5 up (sweep in BENCH_27.json).
+# SDFs at the same time, one of them in the SDF helper. On a 2-vCPU VM, with
+# the kernel that forms its differences as a matrix product, that ran at
+# 0.63-1.12x of serial speed up to 1.3e5 pairs, 1.20-1.33x at 2.6e5 and
+# 1.25-1.84x from 5.1e5 up (sweep in BENCH_31.json).
 _CONCURRENT_PAIRS = 1 << 19
 
 # This process's SDF helper; one whose pipe is closed, by Child.close or by

@@ -17,10 +17,14 @@ from .errors import DataError
 from .frames import _pickle_by_fields, _readonly
 
 # Elements in a full (points, targets) tile of batch SDF evaluation. A call
-# fills only half of one, so the d + 2 arrays of its tile (1.0-1.3 MB for
-# d = 2-3) fit a per-core L2 cache, and so do the two tiles of the calls that
-# ``index`` runs at the same time.
+# fills only half of one, so the d + 2 arrays of its tile, each on whole
+# 64-byte cache lines, and the operands of its difference product (1.07-1.34
+# MB for d = 2-3) fit a per-core L2 cache, and so do the two tiles of the
+# calls that ``index`` runs at the same time.
 _BLOCK_ELEMS = 1 << 16
+
+# float64 elements in a 64-byte cache line.
+_LINE = 8
 
 _EPS = float(np.finfo(float).eps)
 
@@ -120,6 +124,14 @@ def estimate_sdf_batch(sample, targets) -> np.ndarray:
     tiled and equals a loop that adds one point's unit vector at a time,
     starting from zero.
 
+    A coordinate's differences are one matrix product: the tile's points as
+    rows [p, -1] times the targets as columns [1, t]. Both products, p * 1
+    and -1 * t, are exact, so each element is p - t rounded once, with or
+    without a fused multiply-add and in either order of the two terms: the
+    bits of a plain subtraction under every BLAS kernel. Only the sign of
+    an exact zero can differ, which squares away and which no running sum
+    that starts at +0.0 can see.
+
     The work is tiled so that it stays in cache: every call uses one rule, a
     tile of at most isqrt(_BLOCK_ELEMS) targets and _BLOCK_ELEMS // 2 //
     targets points. Each target's running sum is carried in row 0 of the
@@ -127,10 +139,16 @@ def estimate_sdf_batch(sample, targets) -> np.ndarray:
     sample order.
 
     The per-tile arrays (d quotients, the lengths and one array of squares,
-    each with the carry row) are views of one float64 buffer that the call
-    allocates for its largest tile, (d + 2) x (rows + 1) x targets elements
-    (about 1.3 MB at d = 3, whatever the sample size), and frees on return.
-    Every element a call reads was written earlier in the same call.
+    each with the carry row) and the two operands of the product are views
+    of one float64 buffer that the call allocates for its largest tile and
+    frees on return: (d + 2) x (rows + 1) x targets elements, each array
+    rounded up to whole 64-byte cache lines and given one line more, plus
+    2 x d x (rows + targets) for the operands (about 1.34 MB at d = 3,
+    whatever the sample size). Each array is shifted within its lines so
+    that its first point row starts on a line boundary wherever the
+    allocator put the buffer, so the kernel's speed does not depend on the
+    heap's layout. Every element a call reads was written earlier in the
+    same call.
 
     Points and targets are first scaled by one power of two (see
     ``_pow2_scale``), which leaves every unit vector's bits as they are
@@ -143,31 +161,42 @@ def estimate_sdf_batch(sample, targets) -> np.ndarray:
         raise DataError(f"sample has d={d} but targets have d={tgt.shape[1]}")
     scale = _pow2_scale(pts, tgt)
     pts, tgt = pts * scale, tgt * scale
-    cols = [pts[:, j, None] for j in range(d)]
     out = np.empty_like(tgt)
     width = max(1, min(len(tgt), math.isqrt(_BLOCK_ELEMS)))
     height = max(1, min(m, _BLOCK_ELEMS // 2 // width))
-    buf = np.empty((d + 2) * (height + 1) * width)
+    # Whole cache lines for each array of a tile, and one line more for the
+    # shift that puts its first point row on a line boundary.
+    stride = (-(-(height + 1) * width // _LINE) + 1) * _LINE
+    buf = np.empty(_LINE - 1 + (d + 2) * stride + 2 * d * (height + width))
+    skip = -(buf.__array_interface__["data"][0] // 8) % _LINE
+    tiles = buf[skip : skip + (d + 2) * stride].reshape(d + 2, stride)
+    # The product's operands: points as rows [p, -1], targets as columns [1, t].
+    operands = buf[skip + (d + 2) * stride :]
+    lhs = operands[: 2 * d * height].reshape(d, height, 2)
+    lhs[:, :, 1] = -1.0
     # A coincident point divides 0 by 0; its quotient is then set to 0.
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, len(tgt), width):
             chunk = tgt[start : start + width]
             n = len(chunk)
-            work = buf[: (d + 2) * (height + 1) * n].reshape(d + 2, height + 1, n)
+            pad = -n % _LINE  # so that the row after the carry row starts a line
+            work = tiles[:, pad : pad + (height + 1) * n].reshape(d + 2, height + 1, n)
+            rhs = operands[2 * d * height : 2 * d * (height + n)].reshape(d, 2, n)
+            rhs[:, 0] = 1.0
+            rhs[:, 1] = chunk.T
             sums, dist, sq = work[:d], work[d, 1:], work[d + 1, 1:]
             sums[:, 0] = 0.0
             for lo in range(0, m, height):
                 rows = min(height, m - lo)
                 diffs = sums[:, 1 : rows + 1]
-                for j, diff in enumerate(diffs):
-                    np.subtract(cols[j][lo : lo + rows], chunk[:, j], out=diff)
+                lhs[:, :rows, 0] = pts[lo : lo + rows].T
+                np.matmul(lhs[:, :rows], rhs, out=diffs)
                 length = dist[:rows]
-                np.multiply(diffs[0], diffs[0], out=length)
+                np.square(diffs[0], out=length)
                 for diff in diffs[1:]:
-                    np.multiply(diff, diff, out=sq[:rows])
-                    length += sq[:rows]
+                    length += np.square(diff, out=sq[:rows])
                 np.sqrt(length, out=length)
-                coincident = None if length.all() else length == 0.0
+                coincident = None if length.min() > 0.0 else length == 0.0
                 for j, diff in enumerate(diffs):
                     np.divide(diff, length, out=diff)
                     if coincident is not None:

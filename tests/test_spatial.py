@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -146,6 +148,87 @@ class TestEstimateSdf:
         g = estimate_sdf_batch(pts, np.array([[1e9, 0.0]]))[0]
         assert np.allclose(g, [-1.0, 0.0], atol=1e-9)
 
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 3), m=st.integers(1, 200), n=st.sampled_from([1, 50, 300]),
+           low=st.integers(-300, 300), high=st.integers(-300, 300),
+           seed=st.integers(0, 2**32 - 1))
+    def test_differences_are_exact_at_any_scale(self, d, m, n, low, high, seed):
+        """The differences formed by the kernel's matrix product have the
+        bits of a plain subtraction: the result equals the point loop, run
+        on the points after the kernel's power-of-two scaling, bit for bit.
+
+        Coordinates spread over the decades between ``low`` and ``high``
+        (up to 600 of them), with subnormal and signed-zero ones mixed in.
+        Targets are fresh points, copies of a sample point, a point with
+        one coordinate replaced, or a point moved by 1e-300 of its scale;
+        300 targets take two target tiles and, past 128 points, two point
+        tiles.
+        """
+        rng = np.random.default_rng(seed)
+        low, high = min(low, high), max(low, high)
+
+        def coords(shape):
+            c = rng.uniform(1.0, 10.0, shape) * 10.0 ** rng.integers(low, high + 1, shape)
+            c *= rng.choice([-1.0, 1.0], shape)
+            special = rng.random(shape) < 0.1
+            c[special] = rng.choice([0.0, -0.0, 5e-324, -1e-310, 2.5e-320], special.sum())
+            return c
+
+        pts = coords((m, d))
+        nodes = coords((n, d))
+        near = pts[rng.integers(0, m, n)]
+        kind = rng.integers(0, 4, n)
+        nodes[kind == 1] = near[kind == 1]
+        one = rng.integers(0, d, n)
+        nodes[kind == 2, one[kind == 2]] = near[kind == 2, one[kind == 2]]
+        tiny = np.abs(near).max(axis=1, keepdims=True) * 1e-300 * rng.standard_normal((n, d))
+        nodes[kind == 3] = (near + tiny)[kind == 3]
+        scale = spatial._pow2_scale(pts, nodes)
+        want = sdf_loop_many(pts * scale, nodes * scale)
+        assert _same_bits(estimate_sdf_batch(pts, nodes), want)
+
+
+# Prints the sha256 of the SDF's bytes on fixed inputs: coordinates over 6 and
+# over 600 decades, with coincident targets and targets sharing a coordinate.
+_SDF_DIGEST = """
+import hashlib
+import numpy as np
+from benchpursuit.spatial import estimate_sdf_batch
+rng = np.random.default_rng(31)
+digest = hashlib.sha256()
+for decades in (3, 300):
+    for d in (1, 2, 3):
+        pts, nodes = (rng.standard_normal((n, d)) * 10.0 ** rng.integers(-decades, decades, (n, d))
+                      for n in (400, 300))
+        nodes[::3] = pts[:100]
+        nodes[1::3, 0] = pts[100:200, 0]
+        digest.update(estimate_sdf_batch(pts, nodes).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def _dynamic_openblas() -> bool:
+    """Whether numpy's OpenBLAS picks its kernel at run time, so that
+    ``OPENBLAS_CORETYPE`` can choose another one."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.25 has no mode="dicts"
+        return False
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(not _dynamic_openblas(), reason="numpy's BLAS is not a DYNAMIC_ARCH "
+                    "OpenBLAS, so OPENBLAS_CORETYPE cannot switch its kernel")
+def test_sdf_bits_do_not_depend_on_the_blas_kernel():
+    """The SDF has the same bytes under the machine's own OpenBLAS kernel and
+    under Prescott's, which has no fused multiply-add."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    digests = [subprocess.run([sys.executable, "-c", _SDF_DIGEST], env={**env, **core}, timeout=120,
+                              capture_output=True, text=True, check=True).stdout
+               for core in ({}, {"OPENBLAS_CORETYPE": "Prescott"})]
+    assert digests[0] == digests[1] and len(digests[0]) == 65
+
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -198,6 +281,47 @@ class TestSdfScratch:
             finally:
                 tracemalloc.stop()
             assert peak < 2 * 2**20, d
+
+    def test_tiles_start_on_cache_lines(self, rng, monkeypatch):
+        """Wherever in a 64-byte cache line the buffer starts (each of its
+        eight 8-byte offsets, NaN-filled), the results keep their bits and
+        every difference block that the matrix product fills starts on a
+        line boundary."""
+        import benchpursuit.spatial as spatial
+
+        class Placed:
+            offset = 0
+            outs = []
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, shape):
+                raw = np.full(shape + 16, np.nan)
+                skip = -(raw.__array_interface__["data"][0] // 8) % 8 + Placed.offset
+                return raw[skip : skip + shape]
+
+            def matmul(self, a, b, out):
+                start = out.__array_interface__["data"][0]
+                Placed.outs += [start + j * out.strides[0] for j in range(len(out))]
+                return np.matmul(a, b, out=out)
+
+        cases = [(200, 7, 3), (9, 40, 3), (30, 3, 1), (13, 11, 2), (301, 300, 2), (400, 50, 2),
+                 (40, 1, 3), (1, 5, 2), (1, 1, 3)]
+        data = []
+        for m, n, d in cases:
+            pts = rng.standard_normal((m, d))
+            nodes = rng.standard_normal((n, d))
+            nodes[0] = pts[m // 2]
+            data.append((pts, nodes, sdf_loop_many(pts, nodes)))
+        monkeypatch.setattr(spatial, "np", Placed())
+        for block in [64, 600, 1 << 16]:
+            monkeypatch.setattr(spatial, "_BLOCK_ELEMS", block)
+            for offset in range(0, 64, 8):
+                Placed.offset = offset // 8
+                for pts, nodes, want in data:
+                    assert _same_bits(estimate_sdf_batch(pts, nodes), want), (offset, pts.shape)
+        assert Placed.outs and all(start % 64 == 0 for start in Placed.outs)
 
     def test_result_not_aliased(self, rng):
         pts = rng.standard_normal((60, 3))
