@@ -13,9 +13,27 @@ from .errors import DataError
 from .frames import DataMatrix, subset_rows
 
 
+# Rows formatted by one ``%`` in ``format_rows``: enough to make the per-row
+# cost that of the formatting itself, few enough to keep a block's strings
+# small.
+_BLOCK_ROWS = 4096
+
+
 def fmt_float(x: float) -> str:
     """Decimal form at 17 significant digits: parses back to the same float."""
     return f"{float(x):.17g}"
+
+
+def format_rows(templates: list[str], values: np.ndarray, sep: str = "") -> list[str]:
+    """Row i of the 2-d ``values`` put into ``templates[i]`` by ``%``, the rows
+    joined by ``sep``, as one string per block of ``_BLOCK_ROWS`` rows, each
+    block one ``%``. ``'%.17g' % x`` and ``'%.2f' % x`` have the bits of
+    ``f"{x:.17g}"`` and ``f"{x:.2f}"``."""
+    return [
+        sep.join(templates[lo : lo + _BLOCK_ROWS])
+        % tuple(values[lo : lo + _BLOCK_ROWS].ravel().tolist())
+        for lo in range(0, len(values), _BLOCK_ROWS)
+    ]
 
 
 def _decoded_lines(fh, path):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import json
 import math
 from contextlib import contextmanager
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import _fork
 from .benchmarks import BenchmarkSpec, build_benchmark
-from .dataio import fmt_float, ingest_csv, standardize_columns
+from .dataio import fmt_float, format_rows, ingest_csv, standardize_columns
 from .errors import ConfigError, DataError, PipelineError
 from .frames import DataMatrix, ProjectedSample, ProjectionFrame, project, split_by_row_norm
 from .jsonconfig import build
@@ -288,6 +289,11 @@ def _write_view(out: Path, files, matrix, variables, samples, label_name) -> Non
     ``files["coords_csv"]`` a row per projected point. ``samples`` pairs each
     :class:`ProjectedSample` with its row labels, or None. A coordinate row is
     tagged by its sample's source, and by its label when any sample has labels.
+
+    Coordinate rows are formatted in blocks by ``format_rows``, each row's
+    template holding its tag cells as ``csv.writer`` writes them, encoded
+    once per distinct label, then ``%.17g`` per coordinate, which is
+    ``fmt_float``. So each row has the bytes ``csv.writer`` gives it.
     """
     axes = [f"c{i + 1}" for i in range(matrix.shape[1])]
     with (out / files["frame_csv"]).open("w", newline="\n", encoding="utf-8") as fh:
@@ -296,13 +302,28 @@ def _write_view(out: Path, files, matrix, variables, samples, label_name) -> Non
         for name, row in zip(variables, matrix):
             writer.writerow([name] + [fmt_float(v) for v in row])
     labelled = any(labels is not None for labels, _ in samples)
+    coords = ",".join(["%.17g"] * len(axes)) + "\n"
+    cells = io.StringIO()
+    encoder = csv.writer(cells, lineterminator="\n")
+
+    def template(tags: list[str]) -> str:
+        cells.seek(0)
+        cells.truncate()
+        encoder.writerow(tags + [""])  # the cells and a comma, then the line end
+        return cells.getvalue()[:-1].replace("%", "%%") + coords
+
     with (out / files["coords_csv"]).open("w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(([label_name] if labelled else []) + ["source"] + axes)
         for labels, sample in samples:
-            for i, row in enumerate(sample.points):
-                tags = [labels[i] if labels is not None else ""] if labelled else []
-                writer.writerow(tags + [sample.source] + [fmt_float(v) for v in row])
+            if not labelled:
+                rows = [template([sample.source])] * sample.n
+            elif labels is None:
+                rows = [template(["", sample.source])] * sample.n
+            else:
+                forms = {lab: template([lab, sample.source]) for lab in dict.fromkeys(labels)}
+                rows = [forms[lab] for lab in labels]
+            fh.writelines(format_rows(rows, sample.points))
 
 
 def _load_input(manifest: RunManifest) -> DataMatrix:

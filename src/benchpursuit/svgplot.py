@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .dataio import format_rows
 from .errors import ConfigError, DataError
 from .frames import ProjectedSample
 
@@ -65,21 +66,36 @@ def _extent(samples: list[ProjectedSample], axis: int) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def _glyph(kind: str, color: str, cx: float, cy: float) -> str:
+def _glyph_form(kind: str, color: str, cx, cy) -> tuple[str, tuple]:
+    """A glyph's markup as a ``%`` template and the values of its fields,
+    for a centre given as two floats or as two equal-length arrays."""
     if kind == "circle":
-        return f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="2.4" fill="{color}" fill-opacity="0.75"/>'
+        return f'<circle cx="%.2f" cy="%.2f" r="2.4" fill="{color}" fill-opacity="0.75"/>', (cx, cy)
     if kind == "cross":
         a = 2.6
         return (
-            f'<path d="M{_fmt(cx - a)} {_fmt(cy - a)}L{_fmt(cx + a)} {_fmt(cy + a)}'
-            f'M{_fmt(cx - a)} {_fmt(cy + a)}L{_fmt(cx + a)} {_fmt(cy - a)}" '
-            f'stroke="{color}" stroke-width="1.1"/>'
+            f'<path d="M%.2f %.2fL%.2f %.2fM%.2f %.2fL%.2f %.2f" '
+            f'stroke="{color}" stroke-width="1.1"/>',
+            (cx - a, cy - a, cx + a, cy + a, cx - a, cy + a, cx + a, cy - a),
         )
     a = 2.2
     return (
-        f'<rect x="{_fmt(cx - a)}" y="{_fmt(cy - a)}" width="{_fmt(2 * a)}" '
-        f'height="{_fmt(2 * a)}" fill="{color}" fill-opacity="0.75"/>'
+        f'<rect x="%.2f" y="%.2f" width="{_fmt(2 * a)}" height="{_fmt(2 * a)}" fill="{color}" '
+        f'fill-opacity="0.75"/>',
+        (cx - a, cy - a),
     )
+
+
+def _glyph(kind: str, color: str, cx: float, cy: float) -> str:
+    template, values = _glyph_form(kind, color, cx, cy)
+    return template % values
+
+
+def _glyphs(kind: str, color: str, cx: np.ndarray, cy: np.ndarray) -> list[str]:
+    """The glyphs at centres (``cx``, ``cy``), newline-joined, as one string
+    per block of rows that ``format_rows`` formats by one ``%``."""
+    template, values = _glyph_form(kind, color, cx, cy)
+    return format_rows([template] * len(cx), np.stack(values, axis=1), "\n")
 
 
 def _panel(
@@ -98,25 +114,25 @@ def _panel(
     top = _MARGIN_T
     lo_x, hi_x = _extent(samples, ax_x)
 
-    def sx(v: float) -> float:
+    def sx(v):
         return left + (v - lo_x) / (hi_x - lo_x) * _PANEL
 
     if ax_y is None:
         rows = list(dict.fromkeys(s.source for s in samples))
 
-        def y_of(sample: ProjectedSample, row: np.ndarray) -> float:
-            return top + (rows.index(sample.source) + 0.5) / len(rows) * _PANEL
+        def y_of(sample: ProjectedSample) -> np.ndarray:
+            return np.full(sample.n, top + (rows.index(sample.source) + 0.5) / len(rows) * _PANEL)
 
         y_ticks = [(top + (j + 0.5) / len(rows) * _PANEL, src) for j, src in enumerate(rows)]
         label_x, label_dy, anchor = left + 6, -8, "start"
     else:
         lo_y, hi_y = _extent(samples, ax_y)
 
-        def sy(v: float) -> float:
+        def sy(v):
             return top + _PANEL - (v - lo_y) / (hi_y - lo_y) * _PANEL
 
-        def y_of(sample: ProjectedSample, row: np.ndarray) -> float:
-            return sy(float(row[ax_y]))
+        def y_of(sample: ProjectedSample) -> np.ndarray:
+            return sy(sample.points[:, ax_y])
 
         y_ticks = [(sy(tick), f"{tick:.6g}") for tick in _nice_ticks(lo_y, hi_y)]
         label_x, label_dy, anchor = left - 7, 3, "end"
@@ -157,8 +173,7 @@ def _panel(
         )
     for sample in samples:
         kind, color = _STYLES.get(sample.source, _FALLBACK_STYLE)
-        for row in np.asarray(sample.points):
-            parts.append(_glyph(kind, color, sx(float(row[ax_x])), y_of(sample, row)))
+        parts += _glyphs(kind, color, sx(sample.points[:, ax_x]), y_of(sample))
     return "\n".join(parts)
 
 

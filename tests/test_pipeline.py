@@ -6,11 +6,11 @@ from dataclasses import MISSING, fields
 import numpy as np
 import pytest
 
-from benchpursuit import _fork, pipeline, spatial
+from benchpursuit import _fork, pipeline, spatial, svgplot
 from benchpursuit.benchmarks import BenchmarkSpec
 from benchpursuit.dataio import write_csv
 from benchpursuit.errors import ConfigError, DataError, PipelineError
-from benchpursuit.frames import DataMatrix, ProjectionFrame
+from benchpursuit.frames import DataMatrix, ProjectedSample, ProjectionFrame
 from benchpursuit.optimize import (
     AnnealConfig,
     GeodesicConfig,
@@ -28,6 +28,7 @@ from benchpursuit.pipeline import (
 from benchpursuit.projection_index import IndexConfig, IndexValue
 from benchpursuit.spatial import RegionSpec, SpatialMedianResult
 from conftest import assert_no_child_left
+from references import svg_glyph, svg_glyphs_reference, write_view_reference
 
 
 def _write_data(tmp_path, rng, n=24, p=3):
@@ -465,3 +466,88 @@ class TestSplitAndProject:
         assert np.array_equal(
             split.high_sample.points, x.values[:, [0, 1]] @ matrix[[0, 1]]
         )
+
+
+# Label cells that csv.writer quotes (comma, quote, newline, carriage
+# return) or might (leading and trailing spaces), with ``%`` signs for the
+# row templates, an empty label and non-ASCII text.
+_LABELS = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "  lead", "trail ", "%s %d %%", "",
+           "plain", "é ü"]
+
+
+class TestViewBytes:
+    """The coordinates CSV, formatted a block of rows at a time, has the
+    bytes of csv.writer writing one row at a time (tests/references.py)."""
+
+    @staticmethod
+    def _write_both(tmp_path, samples, d, label_name="class"):
+        rng = np.random.default_rng(d)
+        matrix = rng.standard_normal((4, d))
+        variables = ["x,1", "y", 'z"', " w"]
+        files = {"frame_csv": "frame.csv", "coords_csv": "coords.csv"}
+        for name, write in (("new", pipeline._write_view), ("ref", write_view_reference)):
+            (tmp_path / name).mkdir()
+            write(tmp_path / name, files, matrix, variables, samples, label_name)
+        for name in files.values():
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+    @pytest.mark.parametrize("case", ["unlabelled", "labelled", "mixed"])
+    @pytest.mark.parametrize("d, n", [(1, 4097), (2, 1), (2, 4095), (2, 4096), (3, 4097)])
+    def test_coordinates_csv_has_csv_writer_bytes(self, tmp_path, case, d, n):
+        rng = np.random.default_rng(n * 3 + d)
+        pts = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-300, 300, (n, d))
+        edge = np.array([-0.0, 0.0, 5e-324, 0.1, 1e300, -2.5e-308, 1.0, 123456789.0])
+        pts.flat[: min(pts.size, len(edge))] = edge[: pts.size]
+        bench = rng.standard_normal((n // 2 + 3, d))
+        labels = tuple(_LABELS[i % len(_LABELS)] + str(i % 7) * (i % 3) for i in range(n))
+        bench_labels = tuple(_LABELS[::-1][i % len(_LABELS)] for i in range(len(bench)))
+        samples = [
+            (labels if case != "unlabelled" else None, ProjectedSample(pts, source="data")),
+            (bench_labels if case == "labelled" else None,
+             ProjectedSample(bench, source="bench,%d")),
+        ]
+        self._write_both(tmp_path, samples, d)
+
+    def test_split_and_project_keeps_its_bytes(self, tmp_path, rng, monkeypatch):
+        """split_and_project's six files, labelled rows included, have the
+        bytes of the row-at-a-time CSVs and glyph-at-a-time SVGs."""
+        x = DataMatrix(rng.standard_normal((4100, 3)), ("v0", "v1", "v2"),
+                       row_labels=tuple(_LABELS[i % len(_LABELS)] for i in range(4100)),
+                       label_name="kind")
+        frame = ProjectionFrame(np.array([[0.6, 0.0], [0.8, 0.0], [0.0, 1.0]]))
+        median = SpatialMedianResult(np.zeros(2), 0.0, 0, True)
+        sol = SolutionProjection(
+            frame=frame,
+            search_index=IndexValue(value=0.5, n_nodes_used=8,
+                                    region=RegionSpec(median, base_radius=1.0, multiplier=1.0)),
+            restart_id=0, iterations_used=0, seed=3,
+        )
+        written = {}
+        for name in ("new", "ref"):
+            if name == "ref":
+                monkeypatch.setattr(pipeline, "_write_view", write_view_reference)
+                monkeypatch.setattr(svgplot, "_glyphs", svg_glyphs_reference)
+                monkeypatch.setattr(svgplot, "_glyph", svg_glyph)
+            manifest = _tiny_manifest(tmp_path, tmp_path / "unused.csv", out_dir=str(tmp_path / name))
+            split = split_and_project(SolutionReport(manifest=manifest, solutions=[sol]), 0, data=x)
+            written[name] = {f: (tmp_path / name / f).read_bytes() for f in split.files.values()}
+        assert len(written["new"]) == 6 and written["new"] == written["ref"]
+
+    def test_run_keeps_its_bytes(self, tmp_path, rng, monkeypatch):
+        """A whole run's views, written in blocks, equal those written one row
+        and one glyph at a time; report.json equal apart from out_dir."""
+        path, _ = _write_data(tmp_path, rng, n=40)
+        monkeypatch.setattr(_fork, "cpus", lambda: 1)
+        run(_tiny_manifest(tmp_path, path, out_dir=str(tmp_path / "new")))
+        monkeypatch.setattr(pipeline, "_write_view", write_view_reference)
+        monkeypatch.setattr(svgplot, "_glyphs", svg_glyphs_reference)
+        monkeypatch.setattr(svgplot, "_glyph", svg_glyph)
+        run(_tiny_manifest(tmp_path, path, out_dir=str(tmp_path / "ref")))
+        new, ref = tmp_path / "new", tmp_path / "ref"
+        names = sorted(p.name for p in new.iterdir())
+        assert names == sorted(p.name for p in ref.iterdir()) and len(names) == 9
+        for name in names:
+            a = (new / name).read_bytes()
+            if name == "report.json":
+                a = a.replace(str(new).encode(), str(ref).encode())
+            assert a == (ref / name).read_bytes(), name

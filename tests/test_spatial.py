@@ -28,6 +28,7 @@ from oracles import (
     sdf_loop_many,
     weiszfeld_median,
 )
+from references import data_radius_reference, newton_median_reference
 
 SCALES = st.sampled_from([1e-6, 1.0, 1e6])
 
@@ -389,7 +390,7 @@ class TestSpatialMedian:
         cols = rng.standard_normal((d, m)) * 1e3
         if ties:
             cols = np.round(cols / 500.0)
-        got = spatial._coordinate_median(np.ascontiguousarray(cols))
+        got = spatial._coordinate_median(cols.copy())
         assert got.tobytes() == np.median(cols, axis=1).tobytes()
         if d == 1:
             assert spatial_median(cols.T).location.tobytes() == got.tobytes()
@@ -679,3 +680,150 @@ class TestExtremeScales:
         scaled = values()
         monkeypatch.setattr(spatial, "_pow2_scale", lambda *arrays: 1.0)
         assert scaled == values()
+
+
+_KINDS = ("general", "clusters", "collinear", "duplicated", "identical")
+_SIZES = (3, 4, 5, 8, 17, 800, 801, 4000, 40_000)
+
+
+def _median_points(d: int, m: int, kind: str) -> np.ndarray:
+    """m points in d dimensions for the bit comparisons: in general position,
+    in three coincident clusters with a quarter of them moved off, on a line,
+    a sample pooled with itself, or all at one point."""
+    rng = np.random.default_rng([d, m, _KINDS.index(kind)])
+    if kind == "general":
+        return rng.standard_normal((m, d)) @ (rng.standard_normal((d, d)) + 2.0 * np.eye(d))
+    if kind == "clusters":
+        pts = np.repeat(rng.standard_normal((3, d)), -(-m // 3), axis=0)[:m]
+        pts[: m // 4] += rng.standard_normal((m // 4, d))
+        return pts
+    if kind == "collinear":
+        return rng.standard_normal(d) + rng.standard_normal((m, 1)) * rng.standard_normal(d)
+    if kind == "duplicated":
+        return np.tile(rng.standard_normal((-(-m // 2), d)), (2, 1))[:m]
+    return np.tile(rng.standard_normal(d), (m, 1))
+
+
+def _reference_region(pts: np.ndarray, tol: float = 1e-8):
+    """(location, gradient norm, iterations, converged, radius) by the references."""
+    scale = spatial._pow2_scale(pts)
+    loc, gnorm, iterations, converged = newton_median_reference(pts, scale, tol, 1000)
+    loc = loc / scale
+    return loc, gnorm, iterations, converged, data_radius_reference(pts, loc)
+
+
+def _region_bits(res: SpatialMedianResult, radius: float):
+    return (res.location.tobytes(), res.gradient_norm.hex(), res.iterations, res.converged,
+            radius.hex())
+
+
+def _reference_bits(ref):
+    loc, gnorm, iterations, converged, radius = ref
+    return (loc.tobytes(), float(gnorm).hex(), iterations, converged, radius.hex())
+
+
+class TestMedianBits:
+    """spatial_median, data_radius and combined_region have the bits of their
+    versions before the workspace (tests/references.py), computed in the
+    same process, so under whatever BLAS kernel the tests run with."""
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize("m", _SIZES)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_same_bits_as_the_reference(self, d, m, kind):
+        """Also at the power-of-two extremes of 1e-300 and 1e300."""
+        for scale in (1.0, 1e-300, 1e300):
+            pts = _median_points(d, m, kind) * scale
+            for tol in (1e-8, 1e-12):
+                res = spatial_median(pts, tol=tol)
+                assert _region_bits(res, data_radius(pts, res.location)) == _reference_bits(
+                    _reference_region(pts, tol)), (scale, tol)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_combined_region_same_bits(self, d):
+        rng = np.random.default_rng(d)
+        for n in (5, 400, 20_000):
+            a = rng.standard_normal((n, d))
+            b = rng.standard_normal((n + 1, d)) * 0.8 + 0.3
+            region = combined_region(b, a, k=1.5)
+            want = _reference_bits(_reference_region(np.vstack([a, b])))
+            assert _region_bits(region.median, region.base_radius) == want
+
+
+class TestMedianWorkspace:
+    """spatial_median and data_radius each allocate one workspace per call,
+    which every step writes before it reads."""
+
+    class Poisoned:
+        """``np`` for the spatial module, with an ``empty`` that returns NaNs
+        starting ``offset`` 8-byte words into a 64-byte cache line."""
+
+        def __init__(self):
+            self.offset = 0
+            self.sizes = []
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, size):
+            self.sizes.append(size)
+            raw = np.full(size + 16, np.nan)
+            skip = -(raw.__array_interface__["data"][0] // 8) % 8 + self.offset
+            return raw[skip : skip + size]
+
+    def test_poisoned_workspace_is_overwritten(self, monkeypatch):
+        """NaN workspaces at each of the eight offsets in a cache line change
+        no bit; one workspace per spatial_median and per data_radius call."""
+        cases = [_median_points(d, m, kind) for d in (1, 2, 3) for m in _SIZES[:7]
+                 for kind in _KINDS]
+        want = [_reference_bits(_reference_region(pts)) for pts in cases]
+        fake = self.Poisoned()
+        monkeypatch.setattr(spatial, "np", fake)
+        for offset in range(8):
+            fake.offset = offset
+            for pts, bits in zip(cases, want):
+                res = spatial_median(pts)
+                assert _region_bits(res, data_radius(pts, res.location)) == bits, (pts.shape, offset)
+        assert len(fake.sizes) == 8 * 2 * len(cases)
+
+    def test_rows_start_on_cache_lines(self, monkeypatch):
+        """Wherever in a cache line the buffer starts, every workspace row
+        starts on a 64-byte boundary, and rows hold m elements."""
+        fake = self.Poisoned()
+        monkeypatch.setattr(spatial, "np", fake)
+        for offset in range(8):
+            fake.offset = offset
+            for n, m in [(1, 1), (3, 5), (12, 800), (16, 801), (3, 40_000)]:
+                rows = spatial._line_rows(n, m)
+                assert rows.shape == (n, m)
+                assert all(row.__array_interface__["data"][0] % 64 == 0 for row in rows)
+
+    def test_one_workspace_under_4_mib(self, monkeypatch):
+        """40 000 x 2 points: one workspace of (4d + 4) rows of m for the
+        median and one of d + 1 rows for the radius, plus 7 elements to
+        shift to a cache line, each under the 4 MiB from which numpy asks
+        for huge pages (and resident memory grows in 2 MB steps)."""
+        pts = np.random.default_rng(7).standard_normal((40_000, 2))
+        fake = self.Poisoned()
+        monkeypatch.setattr(spatial, "np", fake)
+        res = spatial_median(pts)
+        data_radius(pts, res.location)
+        assert fake.sizes == [7 + (4 * 2 + 4) * 40_000, 7 + (2 + 1) * 40_000]
+        assert all(8 * size < 4 * 2**20 for size in fake.sizes)
+
+    def test_peak_is_the_workspace(self):
+        """The traced peak of a call on 40 000 x 2 points is its workspace
+        plus small arrays: measured 3 848 352 bytes for the median (3 840 056
+        of workspace; 3 843 112 before it) and 961 936 for the radius
+        (1 601 216 before)."""
+        pts = np.random.default_rng(7).standard_normal((40_000, 2))
+        res = spatial_median(pts)
+        for call, workspace in ((lambda: spatial_median(pts), (7 + (4 * 2 + 4) * 40_000) * 8),
+                                (lambda: data_radius(pts, res.location), (7 + (2 + 1) * 40_000) * 8)):
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert workspace <= peak < workspace + 2**15

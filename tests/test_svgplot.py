@@ -6,9 +6,11 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from benchpursuit import svgplot
 from benchpursuit.errors import ConfigError, DataError
 from benchpursuit.frames import ProjectedSample
 from benchpursuit.svgplot import emit_svg, escape
+from references import svg_glyph, svg_glyphs_reference
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -188,3 +190,80 @@ def test_empty_sample_axes_only(rng):
 
 def test_ends_with_newline(rng):
     assert emit_svg(_samples_2d(rng)).endswith("</svg>\n")
+
+
+_KINDS = [("circle", "#3572a5"), ("cross", "#c96a1f"), ("square", "#5a5a5a")]
+
+
+@pytest.mark.parametrize("kind, color", _KINDS)
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097])
+def test_glyph_blocks_match_per_glyph_reference(kind, color, n):
+    """A block formatted by one ``%`` has the bytes of the f-string glyphs
+    one at a time, including fields that round to -0.00 or sit halfway
+    between two hundredths; one string per 4096 glyphs."""
+    rng = np.random.default_rng(n)
+    cx = rng.uniform(-5.0, 800.0, n)
+    cy = rng.uniform(-5.0, 420.0, n)
+    edge = [-0.004, -0.0, 0.0, 0.005, -0.005, 2.596, 2.196, 2.604, 2.675, 1.005, 1e-300, 1e6]
+    k = min(n, len(edge))
+    cx[:k], cy[:k] = edge[:k], edge[::-1][:k]
+    got = svgplot._glyphs(kind, color, cx, cy)
+    assert len(got) == -(-n // 4096)
+    want = [svg_glyph(kind, color, x, y) for x, y in zip(cx.tolist(), cy.tolist())]
+    assert "\n".join(got) == "\n".join(want)
+    if n > 1:
+        assert "-0.00" in got[0]
+
+
+@pytest.mark.parametrize("d, n", [(1, 4097), (2, 4095), (2, 4096), (3, 4097), (2, 0)])
+def test_emit_svg_matches_per_glyph_reference(monkeypatch, d, n):
+    """Whole documents, d = 1 strip included, with glyph blocks in place of
+    one glyph at a time: the same bytes."""
+    rng = np.random.default_rng(d * 10_000 + n)
+    samples = [
+        ProjectedSample(rng.standard_normal((n, d)), source="data"),
+        ProjectedSample(rng.standard_normal((n // 3 + 1, d)) + 0.5, source="benchmark"),
+        ProjectedSample(rng.standard_normal((7, d)) * 3.0, source="other"),
+    ]
+    got = emit_svg(samples, title="t")
+    monkeypatch.setattr(svgplot, "_glyphs", svg_glyphs_reference)
+    monkeypatch.setattr(svgplot, "_glyph", svg_glyph)
+    assert got == emit_svg(samples, title="t")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_glyph_centres_have_the_bits_of_scalar_arithmetic(monkeypatch, d):
+    """The centre columns have the bits of the Python-float arithmetic done
+    per glyph before: left + (v - lo) / (hi - lo) * 340 across and
+    34 + 340 - (v - lo) / (hi - lo) * 340 up, or the source's strip row."""
+    seen = []
+    blocks = svgplot._glyphs
+
+    def spy(kind, color, cx, cy):
+        seen.append((cx, cy))
+        return blocks(kind, color, cx, cy)
+
+    monkeypatch.setattr(svgplot, "_glyphs", spy)
+    rng = np.random.default_rng(d)
+    scales = np.array([1e-3, 7.0, 1e4])[:d]
+    samples = [ProjectedSample(rng.standard_normal((500, d)) * scales + 5.0, source="data"),
+               ProjectedSample(rng.standard_normal((300, d)) * scales, source="benchmark")]
+    emit_svg(samples)
+    pairs = {1: [(0, None)], 2: [(0, 1)], 3: [(0, 1), (0, 2), (1, 2)]}[d]
+    width = svgplot._MARGIN_L + svgplot._PANEL + svgplot._MARGIN_R + svgplot._GAP
+    assert len(seen) == len(pairs) * len(samples)
+    for i, (ax_x, ax_y) in enumerate(pairs):
+        left = i * width + svgplot._MARGIN_L
+        top, side = svgplot._MARGIN_T, svgplot._PANEL
+        lo_x, hi_x = svgplot._extent(samples, ax_x)
+        for j, sample in enumerate(samples):
+            cx, cy = seen[i * len(samples) + j]
+            xs = [left + (v - lo_x) / (hi_x - lo_x) * side for v in sample.points[:, ax_x].tolist()]
+            if ax_y is None:
+                ys = [top + (j + 0.5) / len(samples) * side] * sample.n
+            else:
+                lo_y, hi_y = svgplot._extent(samples, ax_y)
+                ys = [top + side - (v - lo_y) / (hi_y - lo_y) * side
+                      for v in sample.points[:, ax_y].tolist()]
+            assert cx.tobytes() == np.array(xs).tobytes()
+            assert cy.tobytes() == np.array(ys).tobytes()
