@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import math
 from array import array
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -24,16 +25,15 @@ def fmt_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def format_rows(templates: list[str], values: np.ndarray, sep: str = "") -> list[str]:
+def format_rows(templates: list[str], values: np.ndarray, sep: str = "") -> Iterator[str]:
     """Row i of the 2-d ``values`` put into ``templates[i]`` by ``%``, the rows
-    joined by ``sep``, as one string per block of ``_BLOCK_ROWS`` rows, each
-    block one ``%``. ``'%.17g' % x`` and ``'%.2f' % x`` have the bits of
-    ``f"{x:.17g}"`` and ``f"{x:.2f}"``."""
-    return [
-        sep.join(templates[lo : lo + _BLOCK_ROWS])
-        % tuple(values[lo : lo + _BLOCK_ROWS].ravel().tolist())
-        for lo in range(0, len(values), _BLOCK_ROWS)
-    ]
+    joined by ``sep``, yielded as one string per block of ``_BLOCK_ROWS`` rows,
+    each block one ``%``, so a writer holds one block at a time. ``'%.17g' % x``
+    and ``'%.2f' % x`` have the bits of ``f"{x:.17g}"`` and ``f"{x:.2f}"``."""
+    for lo in range(0, len(values), _BLOCK_ROWS):
+        yield sep.join(templates[lo : lo + _BLOCK_ROWS]) % tuple(
+            values[lo : lo + _BLOCK_ROWS].ravel().tolist()
+        )
 
 
 def _decoded_lines(fh, path):

@@ -8,7 +8,6 @@ All numbers in the written files are serialized at 17 significant digits.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
@@ -18,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _fork
 from .benchmarks import BenchmarkSpec, build_benchmark
 from .dataio import fmt_float, format_rows, ingest_csv, standardize_columns
 from .errors import ConfigError, DataError, PipelineError
@@ -27,7 +25,8 @@ from .jsonconfig import build
 from .optimize import SearchConfig, SolutionProjection, run_search
 from .projection_index import IndexConfig, IndexValue, refine_index
 from .spatial import RegionSpec, SpatialMedianResult
-from .svgplot import emit_svg
+# Not called here: bench/tracing.py counts SVG work by patching pipeline.emit_svg.
+from .svgplot import emit_svg, write_svg  # noqa: F401
 
 
 # Manifest JSON keys that differ from the RunManifest field names.
@@ -340,8 +339,7 @@ def _load_input(manifest: RunManifest) -> DataMatrix:
 
 def _write_views(out: Path, report: SolutionReport, data: DataMatrix, bench: DataMatrix) -> None:
     """Create ``out`` and write each solution's frame CSV, coordinates CSV,
-    data SVG and combined SVG there. Nothing here reads a refined index: the
-    SVG titles show the search index."""
+    data SVG and combined SVG there. The SVG titles show the search index."""
     out.mkdir(parents=True, exist_ok=True)
     label_name = data.label_name or "label"
     for rank, (sol, files) in enumerate(zip(report.solutions, report.files)):
@@ -353,10 +351,8 @@ def _write_views(out: Path, report: SolutionReport, data: DataMatrix, bench: Dat
             f"solution {rank:02d} (restart {sol.restart_id})"
             f" index {float(sol.search_index):.6g}"
         )
-        (out / files["data_svg"]).write_text(emit_svg([proj_data], title=title), encoding="utf-8")
-        (out / files["combined_svg"]).write_text(
-            emit_svg([proj_data, proj_bench], title=title), encoding="utf-8"
-        )
+        write_svg(out / files["data_svg"], [proj_data], title=title)
+        write_svg(out / files["combined_svg"], [proj_data, proj_bench], title=title)
 
 
 def run(manifest: RunManifest) -> SolutionReport:
@@ -368,10 +364,8 @@ def run(manifest: RunManifest) -> SolutionReport:
     indistinguishable) is flagged degenerate; spatial-median non-convergence
     anywhere is flagged, not fatal.
 
-    When ``_fork.may_fork()`` holds, a child writes every solution's CSVs
-    and SVGs while this process refines; an error it raises, or its death,
-    is raised in stage ``report``. Otherwise the views are written in that
-    stage. Either way ``report.json`` is written last, with the same bytes.
+    Stage ``report`` writes every solution's CSVs and SVGs, then
+    ``report.json``; a failed refine writes neither.
     """
     with _stage("ingest"):
         x0 = _load_input(manifest)
@@ -384,25 +378,15 @@ def run(manifest: RunManifest) -> SolutionReport:
             data, bench, manifest.dim, manifest.index_cfg, manifest.search_cfg
         )
 
+    with _stage("refine"):
+        for sol in solutions:
+            sol.refined_index = refine_index(sol.frame, data, bench, manifest.index_cfg)
+
     out = Path(manifest.out_dir)
     report = SolutionReport(manifest, solutions)
-    views = functools.partial(_write_views, out, report, data, bench)
-    writer = _fork.Child(views, "view writer") if _fork.may_fork() else None
-    try:
-        if writer:
-            writer.send()
-        with _stage("refine"):
-            for sol in solutions:
-                sol.refined_index = refine_index(sol.frame, data, bench, manifest.index_cfg)
-        with _stage("report"):
-            if writer:
-                writer.recv()
-            else:
-                views()
-            report.save(out / "report.json")
-    finally:
-        if writer:
-            writer.close()
+    with _stage("report"):
+        _write_views(out, report, data, bench)
+        report.save(out / "report.json")
     return report
 
 
@@ -468,7 +452,7 @@ def split_and_project(
         variables = [data.column_names[r] for r in rows]
         _write_view(out, view, sub, variables, [(data.row_labels, sample)], label_name)
         title = f"solution {solution_id:02d} {tag} rows={len(rows)} threshold={threshold:.6g}"
-        (out / view["svg"]).write_text(emit_svg([sample], title=title), encoding="utf-8")
+        write_svg(out / view["svg"], [sample], title=title)
         files.update({f"{tag}_{k}": name for k, name in view.items()})
     return SplitProjection(
         threshold=threshold,

@@ -10,6 +10,7 @@ the three pairwise coordinate panels side by side.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -91,9 +92,9 @@ def _glyph(kind: str, color: str, cx: float, cy: float) -> str:
     return template % values
 
 
-def _glyphs(kind: str, color: str, cx: np.ndarray, cy: np.ndarray) -> list[str]:
-    """The glyphs at centres (``cx``, ``cy``), newline-joined, as one string
-    per block of rows that ``format_rows`` formats by one ``%``."""
+def _glyphs(kind: str, color: str, cx: np.ndarray, cy: np.ndarray) -> Iterator[str]:
+    """The glyphs at centres (``cx``, ``cy``), newline-joined, yielded as one
+    string per block of rows that ``format_rows`` formats by one ``%``."""
     template, values = _glyph_form(kind, color, cx, cy)
     return format_rows([template] * len(cx), np.stack(values, axis=1), "\n")
 
@@ -104,8 +105,9 @@ def _panel(
     ax_y: int | None,
     names: list[str],
     offset_x: float,
-) -> str:
-    """One panel: ``ax_x`` against ``ax_y``, or a strip when ``ax_y`` is None.
+) -> Iterator[str]:
+    """The pieces of one panel: its frame, ticks and axis names, then its
+    glyph blocks; ``ax_x`` against ``ax_y``, or a strip when ``ax_y`` is None.
 
     A strip puts each source on a row of its own, in order of first
     appearance, with the source name inside the panel above the row.
@@ -137,35 +139,35 @@ def _panel(
         y_ticks = [(sy(tick), f"{tick:.6g}") for tick in _nice_ticks(lo_y, hi_y)]
         label_x, label_dy, anchor = left - 7, 3, "end"
 
-    parts = [
+    yield (
         f'<rect x="{_fmt(left)}" y="{_fmt(top)}" width="{_PANEL}" height="{_PANEL}" '
         f'fill="none" stroke="#444444" stroke-width="1"/>'
-    ]
+    )
     for tick in _nice_ticks(lo_x, hi_x):
         x = sx(tick)
-        parts.append(
+        yield (
             f'<line x1="{_fmt(x)}" y1="{_fmt(top + _PANEL)}" x2="{_fmt(x)}" '
             f'y2="{_fmt(top + _PANEL + 4)}" stroke="#444444" stroke-width="1"/>'
         )
-        parts.append(
+        yield (
             f'<text x="{_fmt(x)}" y="{_fmt(top + _PANEL + 16)}" font-size="10" '
             f'text-anchor="middle" fill="#222222">{tick:.6g}</text>'
         )
     for y, label in y_ticks:
-        parts.append(
+        yield (
             f'<line x1="{_fmt(left - 4)}" y1="{_fmt(y)}" x2="{_fmt(left)}" '
             f'y2="{_fmt(y)}" stroke="#444444" stroke-width="1"/>'
         )
-        parts.append(
+        yield (
             f'<text x="{_fmt(label_x)}" y="{_fmt(y + label_dy)}" font-size="10" '
             f'text-anchor="{anchor}" fill="#222222">{escape(label)}</text>'
         )
-    parts.append(
+    yield (
         f'<text x="{_fmt(left + _PANEL / 2)}" y="{_fmt(top + _PANEL + 32)}" font-size="11" '
         f'text-anchor="middle" fill="#222222">{escape(names[ax_x])}</text>'
     )
     if ax_y is not None:
-        parts.append(
+        yield (
             f'<text x="{_fmt(offset_x + 14)}" y="{_fmt(top + _PANEL / 2)}" font-size="11" '
             f'text-anchor="middle" fill="#222222" '
             f'transform="rotate(-90 {_fmt(offset_x + 14)} {_fmt(top + _PANEL / 2)})">'
@@ -173,8 +175,55 @@ def _panel(
         )
     for sample in samples:
         kind, color = _STYLES.get(sample.source, _FALLBACK_STYLE)
-        parts += _glyphs(kind, color, sx(sample.points[:, ax_x]), y_of(sample))
-    return "\n".join(parts)
+        yield from _glyphs(kind, color, sx(sample.points[:, ax_x]), y_of(sample))
+
+
+def _checked(samples) -> list[ProjectedSample]:
+    """``samples`` as :class:`ProjectedSample` objects of one plottable dimension."""
+    samples = [s if isinstance(s, ProjectedSample) else ProjectedSample(s) for s in samples]
+    if not samples:
+        raise ValueError("need at least one sample")
+    d = samples[0].d
+    if any(s.d != d for s in samples):
+        raise DataError("all samples must share the same dimension")
+    if d not in (1, 2, 3):
+        raise ConfigError(f"plots implemented for d in {{1, 2, 3}}, got d={d}")
+    return samples
+
+
+def _document(samples: list[ProjectedSample], title: str) -> Iterator[str]:
+    """The pieces of the SVG document of ``samples``, each ended by a newline
+    in the document: the glyphs come a block at a time."""
+    d = samples[0].d
+    names = [f"c{i + 1}" for i in range(d)]
+
+    pairs = {1: [(0, None)], 2: [(0, 1)], 3: [(0, 1), (0, 2), (1, 2)]}[d]
+    panel_w = _MARGIN_L + _PANEL + _MARGIN_R
+    width = len(pairs) * panel_w + (len(pairs) - 1) * _GAP
+    height = _MARGIN_T + _PANEL + _MARGIN_B
+
+    yield (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">'
+    )
+    yield f'<rect width="{width}" height="{height}" fill="#ffffff"/>'
+    if title:
+        yield (
+            f'<text x="{_fmt(width / 2)}" y="18" font-size="13" text-anchor="middle" '
+            f'fill="#111111">{escape(title)}</text>'
+        )
+    for i, (ax_x, ax_y) in enumerate(pairs):
+        yield from _panel(samples, ax_x, ax_y, names, i * (panel_w + _GAP))
+    legend_x = width - _MARGIN_R - 110
+    for j, sample in enumerate({s.source: s for s in samples}.values()):
+        kind, color = _STYLES.get(sample.source, _FALLBACK_STYLE)
+        y = _MARGIN_T + 12 + 14 * j
+        yield _glyph(kind, color, legend_x, y - 3)
+        yield (
+            f'<text x="{_fmt(legend_x + 8)}" y="{_fmt(y)}" font-size="10" '
+            f'fill="#222222">{escape(sample.source)}</text>'
+        )
+    yield "</svg>"
 
 
 def emit_svg(samples, title: str = "") -> str:
@@ -184,41 +233,12 @@ def emit_svg(samples, title: str = "") -> str:
     is fine and contributes axes only. Glyphs distinguish sources: circles for
     "data", crosses for "benchmark".
     """
-    samples = [s if isinstance(s, ProjectedSample) else ProjectedSample(s) for s in samples]
-    if not samples:
-        raise ValueError("need at least one sample")
-    d = samples[0].d
-    if any(s.d != d for s in samples):
-        raise DataError("all samples must share the same dimension")
-    if d not in (1, 2, 3):
-        raise ConfigError(f"plots implemented for d in {{1, 2, 3}}, got d={d}")
-    names = [f"c{i + 1}" for i in range(d)]
+    return "\n".join(_document(_checked(samples), title)) + "\n"
 
-    pairs = {1: [(0, None)], 2: [(0, 1)], 3: [(0, 1), (0, 2), (1, 2)]}[d]
-    panel_w = _MARGIN_L + _PANEL + _MARGIN_R
-    width = len(pairs) * panel_w + (len(pairs) - 1) * _GAP
-    height = _MARGIN_T + _PANEL + _MARGIN_B
 
-    body = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
-    ]
-    if title:
-        body.append(
-            f'<text x="{_fmt(width / 2)}" y="18" font-size="13" text-anchor="middle" '
-            f'fill="#111111">{escape(title)}</text>'
-        )
-    for i, (ax_x, ax_y) in enumerate(pairs):
-        body.append(_panel(samples, ax_x, ax_y, names, i * (panel_w + _GAP)))
-    legend_x = width - _MARGIN_R - 110
-    for j, sample in enumerate({s.source: s for s in samples}.values()):
-        kind, color = _STYLES.get(sample.source, _FALLBACK_STYLE)
-        y = _MARGIN_T + 12 + 14 * j
-        body.append(_glyph(kind, color, legend_x, y - 3))
-        body.append(
-            f'<text x="{_fmt(legend_x + 8)}" y="{_fmt(y)}" font-size="10" '
-            f'fill="#222222">{escape(sample.source)}</text>'
-        )
-    body.append("</svg>")
-    return "\n".join(body) + "\n"
+def write_svg(path, samples, title: str = "") -> None:
+    """Write the document ``emit_svg`` returns to the file ``path``, as UTF-8,
+    a piece at a time, so that its text is held a block of glyphs at a time."""
+    pieces = _document(_checked(samples), title)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(piece + "\n" for piece in pieces)

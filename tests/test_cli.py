@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import benchpursuit
-from benchpursuit import _fork, optimize, pipeline, projection_index, spatial
+from benchpursuit import _fork, optimize, projection_index, spatial
 from benchpursuit.benchmarks import lcg_triplets
 from benchpursuit.cli import main, parse_benchmark
 from benchpursuit.dataio import ingest_csv, write_csv
@@ -393,8 +393,7 @@ class TestRunCommand:
         ("restart worker", optimize, "anneal_search", "search", ()),
         ("probe worker", optimize, "index", "search", ("--optimizer", "geodesic",
                                                        "--restarts", "1")),
-        ("view writer", pipeline, "_write_views", "report", ()),
-    ], ids=["helper", "restart-worker", "probe-worker", "view-writer"])
+    ], ids=["helper", "restart-worker", "probe-worker"])
     def test_dead_child_exits_1(self, data_csv, tmp_path, capsys, monkeypatch, child, module,
                                 name, stage, extra):
         """A child that dies (os._exit(3) stands for a kill) fails the run in
@@ -423,11 +422,11 @@ class TestRunCommand:
                             r"with exit status 3\n", err), err
         assert_no_child_left()
 
-    @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "view-writer"])
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "two-cpus"])
     def test_report_write_failure_exits_2(self, data_csv, tmp_path, capsys, monkeypatch, cpus):
         """A directory where solution_00_data.svg goes: one error line names
         stage 'report' and the file, no report.json is written, and no child
-        process is left, whether the views are written here or in a child."""
+        process is left, on one CPU or on two."""
         monkeypatch.setattr(_fork, "cpus", lambda: cpus)
         out = tmp_path / "out"
         (out / "solution_00_data.svg").mkdir(parents=True)

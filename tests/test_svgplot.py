@@ -9,7 +9,7 @@ import pytest
 from benchpursuit import svgplot
 from benchpursuit.errors import ConfigError, DataError
 from benchpursuit.frames import ProjectedSample
-from benchpursuit.svgplot import emit_svg, escape
+from benchpursuit.svgplot import emit_svg, escape, write_svg
 from references import svg_glyph, svg_glyphs_reference
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -207,7 +207,7 @@ def test_glyph_blocks_match_per_glyph_reference(kind, color, n):
     edge = [-0.004, -0.0, 0.0, 0.005, -0.005, 2.596, 2.196, 2.604, 2.675, 1.005, 1e-300, 1e6]
     k = min(n, len(edge))
     cx[:k], cy[:k] = edge[:k], edge[::-1][:k]
-    got = svgplot._glyphs(kind, color, cx, cy)
+    got = list(svgplot._glyphs(kind, color, cx, cy))
     assert len(got) == -(-n // 4096)
     want = [svg_glyph(kind, color, x, y) for x, y in zip(cx.tolist(), cy.tolist())]
     assert "\n".join(got) == "\n".join(want)
@@ -216,9 +216,9 @@ def test_glyph_blocks_match_per_glyph_reference(kind, color, n):
 
 
 @pytest.mark.parametrize("d, n", [(1, 4097), (2, 4095), (2, 4096), (3, 4097), (2, 0)])
-def test_emit_svg_matches_per_glyph_reference(monkeypatch, d, n):
+def test_emit_svg_matches_per_glyph_reference(tmp_path, monkeypatch, d, n):
     """Whole documents, d = 1 strip included, with glyph blocks in place of
-    one glyph at a time: the same bytes."""
+    one glyph at a time: the same bytes, returned or written to a file."""
     rng = np.random.default_rng(d * 10_000 + n)
     samples = [
         ProjectedSample(rng.standard_normal((n, d)), source="data"),
@@ -226,6 +226,8 @@ def test_emit_svg_matches_per_glyph_reference(monkeypatch, d, n):
         ProjectedSample(rng.standard_normal((7, d)) * 3.0, source="other"),
     ]
     got = emit_svg(samples, title="t")
+    write_svg(tmp_path / "t.svg", samples, title="t")
+    assert (tmp_path / "t.svg").read_bytes() == got.encode()
     monkeypatch.setattr(svgplot, "_glyphs", svg_glyphs_reference)
     monkeypatch.setattr(svgplot, "_glyph", svg_glyph)
     assert got == emit_svg(samples, title="t")
