@@ -111,10 +111,13 @@ def write_csv(data: DataMatrix, path) -> None:
 
     The label column (if any) comes first under its original name; numeric
     cells are serialized at 17 significant digits. Line endings are fixed to
-    \\n so identical data yields identical bytes.
+    \\n so identical data yields identical bytes. A label column with the
+    name of a data column raises ValueError, as ingest could not read it back.
     """
     path = Path(path)
     label_name = data.label_name or ("label" if data.row_labels is not None else None)
+    if data.row_labels is not None and label_name in data.column_names:
+        raise ValueError(f"{path}: label column '{label_name}' has the name of a data column")
     with path.open("w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         header = list(data.column_names)

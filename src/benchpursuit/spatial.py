@@ -86,6 +86,14 @@ def _points(obj) -> np.ndarray:
     return pts
 
 
+def _sample(obj) -> np.ndarray:
+    """``obj`` as an (n, d) float array of at least one point."""
+    pts = _points(obj)
+    if not len(pts):
+        raise ValueError("the sample is empty")
+    return pts
+
+
 def _pow2_scale(*arrays: np.ndarray) -> float:
     """The power of two that takes the largest magnitude in ``arrays`` into
     [0.5, 1), or 1.0 if there is none.
@@ -113,7 +121,8 @@ def estimate_sdf_batch(sample, targets) -> np.ndarray:
 
     Returns the (n_targets, d) array of mean unit vectors from each target
     to the sample points; sample points exactly coincident with a target
-    contribute the zero vector.
+    contribute the zero vector. The sample must hold a point; no targets
+    give a (0, d) result.
 
     Each coordinate is handled as its own contiguous (points, targets)
     array: the differences point - target, their length
@@ -154,7 +163,7 @@ def estimate_sdf_batch(sample, targets) -> np.ndarray:
     ``_pow2_scale``), which leaves every unit vector's bits as they are
     while the offsets and their squares stay finite and normal.
     """
-    pts = _points(sample)
+    pts = _sample(sample)
     tgt = _points(targets)
     m, d = pts.shape
     if tgt.shape[1] != d:
@@ -307,7 +316,7 @@ def spatial_median(sample, tol: float = 1e-8, max_iter: int = 1000) -> SpatialMe
     A failure to converge within ``max_iter`` steps is reported through the
     ``converged`` flag, not an exception.
     """
-    pts = _points(sample)
+    pts = _sample(sample)
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     if max_iter < 0:
@@ -424,7 +433,7 @@ def data_radius(sample, center) -> float:
     (see ``_line_rows``), the (d, m) scaled offsets, squared in place, and
     their lengths (0.96 MB for 40 000 points at d = 2), and frees it on
     return."""
-    pts = _points(sample)
+    pts = _sample(sample)
     center = np.asarray(center, dtype=float).ravel()
     m, d = pts.shape
     if center.size != d:

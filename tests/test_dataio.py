@@ -174,6 +174,13 @@ class TestWriteRoundTrip:
         for x in floats:
             assert float(fmt_float(x)) == x
 
+    @pytest.mark.parametrize("names, label_name", [(("label", "b"), None), (("a", "b"), "a")])
+    def test_label_named_like_a_column_raises(self, tmp_path, names, label_name):
+        x = DataMatrix(np.ones((2, 2)), names, row_labels=("t", "n"), label_name=label_name)
+        with pytest.raises(ValueError, match=r"label column '(label|a)' has the name of a data"):
+            write_csv(x, tmp_path / "out.csv")
+        assert not (tmp_path / "out.csv").exists()
+
     def test_newline_convention(self, tmp_path):
         x = DataMatrix(np.ones((2, 2)), ("a", "b"))
         path = tmp_path / "out.csv"

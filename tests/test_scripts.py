@@ -1,48 +1,66 @@
-"""Smoke runs of the experiment scripts named in the README."""
+"""The seed study on one workload and seed, and the scripts the README names."""
 
-import os
+import json
 import re
 import subprocess
 import sys
 from pathlib import Path
 
-import benchpursuit
+import numpy as np
+import pytest
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+NAME = "class-geodesic-3d"
 
 
-def _run_script(name, *args, cwd):
-    # The child finds the package where this process found it, installed or not.
-    src = str(Path(benchpursuit.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+def _study(*args, cwd):
     proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / name), *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()
+        [sys.executable, str(ROOT / "scripts" / "seed_study.py"), "--workload", NAME,
+         "--seeds", "110", *args], capture_output=True, text=True, cwd=cwd, timeout=300)
+    assert proc.stdout, proc.stderr
+    return proc.returncode, proc.stderr, json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_randu_study(tmp_path):
-    out = tmp_path / "randu"
-    lines = _run_script(
-        "randu_study.py", "--out", str(out), "--restarts", "2", "--iterations", "5",
-        cwd=tmp_path,
-    )
-    assert lines[-1] == f"outputs in {out}/"
-    assert (out / "report.json").is_file()
+@pytest.fixture(scope="module")
+def study(tmp_path_factory):
+    cwd = tmp_path_factory.mktemp("study")
+    code, err, result = _study(cwd=cwd)
+    assert code == 0, err
+    return cwd, result
 
 
-def test_permutation_study(tmp_path):
-    lines = _run_script(
-        "permutation_study.py", "--reps", "1", "--restarts", "2", "--iterations", "5",
-        cwd=tmp_path,
-    )
-    assert re.fullmatch(
-        r"[01]/1 repetitions found the correlated pair and beat the independent control",
-        lines[-1],
-    )
+def test_hits_are_the_checks_of_the_written_report(study, monkeypatch):
+    cwd, result = study
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import checks
+    import workloads
+
+    run_dir = cwd / "runs" / "seed-study" / f"{NAME}-s110"
+    values, _ = workloads.read_input(str(run_dir / "input.csv"))
+    report = checks.load_report(run_dir / "out")
+    hits = sum(checks.recovered(NAME, np.asarray(s["frame"]), values) for s in report["solutions"])
+    [run] = result["workloads"][NAME]["runs"]
+    assert run["exit"] == 0 and run["hits"] == hits == result["workloads"][NAME]["hits"]
+    assert report["manifest"]["search"]["rng_seed"] == 110
+
+
+def test_against_itself_shows_no_difference(study):
+    cwd, result = study
+    (cwd / "saved.json").write_text(json.dumps(result))
+    code, err, again = _study("--against", "saved.json", cwd=cwd)
+    assert code == 0 and f"{NAME}: 0 differences over 1 seeds" in err
+    assert again == result
+
+
+def test_against_more_hits_fails(study):
+    cwd, result = study
+    edited = json.loads(json.dumps(result))
+    edited["workloads"][NAME]["runs"][0]["hits"] += 100
+    (cwd / "more.json").write_text(json.dumps(edited))
+    code, err, _ = _study("--against", "more.json", cwd=cwd)
+    assert code == 1 and "WORSE" in err
+
+
+def test_scripts_named_in_the_readme_exist():
+    named = set(re.findall(r"scripts/\w+\.py", (ROOT / "README.md").read_text(encoding="utf-8")))
+    assert named and all((ROOT / path).is_file() for path in named)

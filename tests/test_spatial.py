@@ -595,6 +595,16 @@ class TestRegion:
             combined_region(rng.standard_normal((5, 2)), rng.standard_normal((5, 3)), k=1.0)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_empty_sample_raises(d):
+    empty = np.empty((0, d))
+    for call in (lambda: estimate_sdf_batch(empty, np.zeros((4, d))),
+                 lambda: spatial_median(empty), lambda: data_radius(empty, np.zeros(d))):
+        with pytest.raises(ValueError, match="the sample is empty"):
+            call()
+    assert estimate_sdf_batch(np.ones((3, d)), empty).shape == (0, d)
+
+
 def _square(s: float) -> np.ndarray:
     """Four points whose 1-median is the doubled point (s, 0)."""
     return np.array([[s, 0.0], [s, 0.0], [-s, s], [0.0, -s]])
