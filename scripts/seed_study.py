@@ -17,13 +17,15 @@ by
     python3 scripts/seed_study.py --against parent.json
 
 which prints each seed's differences and exits 1 if a workload's total hits
-fall by more than HITS_DROP or its median best refined index falls.
+fall by more than HITS_DROP, or if its best refined index is lower at so
+many seeds that a one-sided sign test gives p < SIGN_P (see ``sign_p``).
 """
 
 import argparse
 import contextlib
 import io
 import json
+import math
 import shutil
 import statistics
 import sys
@@ -46,6 +48,23 @@ import workloads  # noqa: E402
 # 47, 40, 39, 47, 46; class-geodesic-3d 17, 16, 16, 17, 18, 14; permute-large
 # 18, 16, 18, 16, 16, 17.
 HITS_DROP = {"randu-anneal": 12, "class-geodesic-3d": 4, "permute-large": 4}
+
+# A workload fails when its best refined index is lower at so many seeds that
+# a change of rounding alone would show as many with a chance below SIGN_P.
+# Not a fall of the median: on unchanged code the median of 20 seeds moves,
+# over six sets reading RANDU 0.0734-0.0735, class 101.5-110.2 and permute
+# 6.54-6.88.
+SIGN_P = 0.05
+
+
+def sign_p(before: list[float], after: list[float]) -> tuple[int, int, float]:
+    """(seeds lower after, seeds that differ, one-sided sign-test p): the
+    chance that at least that many of the differing seeds are lower if each
+    were lower or higher at even odds. Tied seeds are dropped."""
+    lower = sum(b < a for a, b in zip(before, after))
+    differ = sum(b != a for a, b in zip(before, after))
+    tail = sum(math.comb(differ, i) for i in range(lower, differ + 1))
+    return lower, differ, tail / 2**differ
 
 
 def study_run(name: str, seed: int) -> dict:
@@ -91,12 +110,14 @@ def compare(result: dict, saved: dict) -> int:
                 print(f"{name} seed {new['seed']}: {'; '.join(diffs)}", file=sys.stderr)
         if pairs:
             hits = [sum(r.get("hits", 0) for r in side) for side in zip(*pairs)]
-            best = [statistics.median(r.get("best_index", 0.0) for r in side)
-                    for side in zip(*pairs)]
-            worse = hits[0] - hits[1] > HITS_DROP[name] or best[1] < best[0]
+            best = [[r.get("best_index", 0.0) for r in side] for side in zip(*pairs)]
+            lower, differ, p = sign_p(*best)
+            worse = hits[0] - hits[1] > HITS_DROP[name] or p < SIGN_P
             print(f"{name}: {count} differences over {len(pairs)} seeds; hits {hits[0]} -> "
-                  f"{hits[1]}, median best index {best[0]:.6g} -> {best[1]:.6g}"
-                  f"{'; WORSE' if worse else ''}", file=sys.stderr)
+                  f"{hits[1]}; best index lower at {lower} of {differ} seeds that differ, "
+                  f"sign-test p {p:.3g}; median best index {statistics.median(best[0]):.6g} -> "
+                  f"{statistics.median(best[1]):.6g}{'; WORSE' if worse else ''}",
+                  file=sys.stderr)
             code = max(code, int(worse))
     return code
 

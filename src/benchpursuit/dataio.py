@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 from array import array
 from collections.abc import Iterator
@@ -106,6 +107,33 @@ def ingest_csv(path, label_column: str | None = None) -> DataMatrix:
     )
 
 
+def write_table(path, header: list[str], parts) -> None:
+    """Write the CSV file ``path``: the cells ``header``, then, for each pair
+    (``tags``, ``values``) of ``parts``, a line per row i of the 2-d array
+    ``values``: the cells of the i-th tuple of ``tags``, then the row's
+    numbers at 17 significant digits, as ``fmt_float`` writes them.
+
+    Each line has the bytes ``csv.writer`` gives it. The tag cells are
+    encoded once per distinct tuple, and ``format_rows`` puts the numbers in
+    a block of rows at a time.
+    """
+    cells = io.StringIO()
+    encoder = csv.writer(cells, lineterminator="\n")
+
+    def template(tag: tuple) -> str:
+        cells.seek(0)
+        cells.truncate()
+        encoder.writerow([*tag, ""])  # the cells and a comma, then the line end
+        return forms.setdefault(tag, cells.getvalue()[:-1].replace("%", "%%") + numbers)
+
+    with Path(path).open("w", newline="\n", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for tags, values in parts:
+            numbers = ",".join(["%.17g"] * values.shape[1]) + "\n"
+            forms = {(): numbers}  # no cells; csv.writer would write [""] as ""
+            fh.writelines(format_rows([forms.get(tag) or template(tag) for tag in tags], values))
+
+
 def write_csv(data: DataMatrix, path) -> None:
     """Write ``data`` so that :func:`ingest_csv` reproduces it exactly.
 
@@ -118,17 +146,11 @@ def write_csv(data: DataMatrix, path) -> None:
     label_name = data.label_name or ("label" if data.row_labels is not None else None)
     if data.row_labels is not None and label_name in data.column_names:
         raise ValueError(f"{path}: label column '{label_name}' has the name of a data column")
-    with path.open("w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = list(data.column_names)
-        if data.row_labels is not None:
-            header = [label_name] + header
-        writer.writerow(header)
-        for i in range(data.n):
-            row = [fmt_float(v) for v in data.values[i]]
-            if data.row_labels is not None:
-                row = [data.row_labels[i]] + row
-            writer.writerow(row)
+    header, tags = list(data.column_names), [()] * data.n
+    if data.row_labels is not None:
+        header = [label_name] + header
+        tags = ((label,) for label in data.row_labels)
+    write_table(path, header, [(tags, data.values)])
 
 
 def standardize_columns(data: DataMatrix) -> DataMatrix:

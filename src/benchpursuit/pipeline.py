@@ -2,15 +2,14 @@
 
 A :class:`RunManifest` fully determines a run; re-running an identical
 manifest reproduces every output byte for byte (there are no timestamps).
-All numbers in the written files are serialized at 17 significant digits.
+In the written files, JSON floats are the shortest decimal that reads back
+to the same float, CSV numbers have 17 significant digits, and SVG positions
+have 2 decimals.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .benchmarks import BenchmarkSpec, build_benchmark
-from .dataio import fmt_float, format_rows, ingest_csv, standardize_columns
+from .dataio import ingest_csv, standardize_columns, write_table
 from .errors import ConfigError, DataError, PipelineError
 from .frames import DataMatrix, ProjectedSample, ProjectionFrame, project, split_by_row_norm
 from .jsonconfig import build
@@ -82,42 +81,19 @@ class RunManifest:
 
 
 def dumps_canonical(obj) -> str:
-    """Canonical JSON: sorted keys, two-space indent, floats at 17 digits.
+    """Canonical JSON: sorted keys, two-space indent, each float as the
+    shortest decimal that reads back to it, and a trailing newline.
 
     A NaN or infinite float raises ``ValueError``: JSON has no such numbers.
     """
-    return _json_value(obj, 0) + "\n"
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=_json_default)
+    return text + "\n"
 
 
-def _json_value(obj, depth: int) -> str:
-    pad = "  " * depth
-    inner = "  " * (depth + 1)
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (float, np.floating)):
-        if not math.isfinite(obj):
-            raise ValueError(f"JSON has no non-finite numbers, got {obj!r}")
-        return fmt_float(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(key))}: {_json_value(obj[key], depth + 1)}"
-            for key in sorted(obj)
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        items = [f"{inner}{_json_value(v, depth + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+def _json_default(obj):
+    """A numpy array as a list, a numpy number as a number; else TypeError."""
+    if isinstance(obj, (np.ndarray, np.integer, np.floating)):
+        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -288,41 +264,20 @@ def _write_view(out: Path, files, matrix, variables, samples, label_name) -> Non
     ``files["coords_csv"]`` a row per projected point. ``samples`` pairs each
     :class:`ProjectedSample` with its row labels, or None. A coordinate row is
     tagged by its sample's source, and by its label when any sample has labels.
-
-    Coordinate rows are formatted in blocks by ``format_rows``, each row's
-    template holding its tag cells as ``csv.writer`` writes them, encoded
-    once per distinct label, then ``%.17g`` per coordinate, which is
-    ``fmt_float``. So each row has the bytes ``csv.writer`` gives it.
     """
     axes = [f"c{i + 1}" for i in range(matrix.shape[1])]
-    with (out / files["frame_csv"]).open("w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["variable"] + axes)
-        for name, row in zip(variables, matrix):
-            writer.writerow([name] + [fmt_float(v) for v in row])
+    frame_tags = [(name,) for name in variables]
+    write_table(out / files["frame_csv"], ["variable"] + axes, [(frame_tags, matrix)])
     labelled = any(labels is not None for labels, _ in samples)
-    coords = ",".join(["%.17g"] * len(axes)) + "\n"
-    cells = io.StringIO()
-    encoder = csv.writer(cells, lineterminator="\n")
 
-    def template(tags: list[str]) -> str:
-        cells.seek(0)
-        cells.truncate()
-        encoder.writerow(tags + [""])  # the cells and a comma, then the line end
-        return cells.getvalue()[:-1].replace("%", "%%") + coords
+    def tags(labels, source: str, n: int):
+        if labels is not None:
+            return ((label, source) for label in labels)
+        return [("", source) if labelled else (source,)] * n
 
-    with (out / files["coords_csv"]).open("w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(([label_name] if labelled else []) + ["source"] + axes)
-        for labels, sample in samples:
-            if not labelled:
-                rows = [template([sample.source])] * sample.n
-            elif labels is None:
-                rows = [template(["", sample.source])] * sample.n
-            else:
-                forms = {lab: template([lab, sample.source]) for lab in dict.fromkeys(labels)}
-                rows = [forms[lab] for lab in labels]
-            fh.writelines(format_rows(rows, sample.points))
+    header = ([label_name] if labelled else []) + ["source"] + axes
+    parts = ((tags(labels, s.source, s.n), s.points) for labels, s in samples)
+    write_table(out / files["coords_csv"], header, parts)
 
 
 def _load_input(manifest: RunManifest) -> DataMatrix:

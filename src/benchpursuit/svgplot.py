@@ -14,7 +14,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .dataio import format_rows
+from .dataio import _BLOCK_ROWS, format_rows
 from .errors import ConfigError, DataError
 from .frames import ProjectedSample
 
@@ -94,9 +94,12 @@ def _glyph(kind: str, color: str, cx: float, cy: float) -> str:
 
 def _glyphs(kind: str, color: str, cx: np.ndarray, cy: np.ndarray) -> Iterator[str]:
     """The glyphs at centres (``cx``, ``cy``), newline-joined, yielded as one
-    string per block of rows that ``format_rows`` formats by one ``%``."""
-    template, values = _glyph_form(kind, color, cx, cy)
-    return format_rows([template] * len(cx), np.stack(values, axis=1), "\n")
+    string per block of rows that ``format_rows`` formats by one ``%``. A
+    block's glyph fields are computed when it is formatted."""
+    for lo in range(0, len(cx), _BLOCK_ROWS):
+        hi = lo + _BLOCK_ROWS
+        template, values = _glyph_form(kind, color, cx[lo:hi], cy[lo:hi])
+        yield from format_rows([template] * len(values[0]), np.stack(values, axis=1), "\n")
 
 
 def _panel(

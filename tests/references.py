@@ -1,7 +1,7 @@
 """Earlier versions of code rewritten for speed, kept as references for the
 bits the rewrites keep: the region stage before it used one workspace per
-call, and the view CSVs and SVG glyphs before they were formatted in
-blocks. The tests compute both in the same process and compare them.
+call, and the CSVs and SVG glyphs before they were formatted in blocks.
+The tests compute both in the same process and compare them.
 
 Apart from ``oracles.py``, which bench/checks.py imports: this module's
 size and its imports of the package would add to the resident set of
@@ -157,6 +157,23 @@ def write_view_reference(out, files, matrix, variables, samples, label_name) -> 
             for i, row in enumerate(sample.points):
                 tags = [labels[i] if labels is not None else ""] if labelled else []
                 writer.writerow(tags + [sample.source] + [fmt_float(v) for v in row])
+
+
+def write_csv_reference(data, path) -> None:
+    """``dataio.write_csv`` as it was before it formatted rows in blocks: one
+    ``csv.writer`` row per data row, its label first if it has one."""
+    label_name = data.label_name or ("label" if data.row_labels is not None else None)
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        header = list(data.column_names)
+        if data.row_labels is not None:
+            header = [label_name] + header
+        writer.writerow(header)
+        for i in range(data.n):
+            row = [fmt_float(v) for v in data.values[i]]
+            if data.row_labels is not None:
+                row = [data.row_labels[i]] + row
+            writer.writerow(row)
 
 
 def _fmt2(x: float) -> str:

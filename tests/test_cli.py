@@ -2,6 +2,7 @@ import functools
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,13 @@ from benchpursuit.cli import main, parse_benchmark
 from benchpursuit.dataio import ingest_csv, write_csv
 from benchpursuit.errors import ConfigError
 from benchpursuit.frames import DataMatrix
+from benchpursuit.pipeline import RunManifest, SolutionReport
 from conftest import assert_no_child_left
+
+# A run's data, report.json and manifest, the JSON written with every float
+# at 17 significant digits ("cooling": 0.94999999999999996), as before JSON
+# floats took their shortest round-trip form.
+SEVENTEEN_DIGITS = Path(__file__).parent / "fixtures" / "seventeen_digits"
 
 
 @pytest.fixture
@@ -637,6 +644,33 @@ class TestSplitCommand:
 
     def test_missing_report_exits_2(self, tmp_path):
         assert main(["split", "--report", str(tmp_path / "nope.json")]) == 2
+
+
+class TestSeventeenDigitFiles:
+    """A report and a manifest with 17-digit floats still load and run."""
+
+    @pytest.fixture(autouse=True)
+    def old_run(self, tmp_path, monkeypatch):
+        shutil.copytree(SEVENTEEN_DIGITS, tmp_path / "old")
+        monkeypatch.chdir(tmp_path / "old")
+
+    def test_split_reads_the_report(self):
+        text = Path("out", "report.json").read_text()
+        assert '"cooling": 0.94999999999999996' in text
+        assert SolutionReport.load("out/report.json").to_dict() == json.loads(text)
+        assert main(["split", "--report", "out/report.json"]) == 0
+        assert sorted(os.listdir("out")) == ["report.json"] + [
+            f"solution_00_{tag}{suffix}"
+            for tag in ("highnorm", "lownorm")
+            for suffix in (".svg", "_coords.csv", "_frame.csv")
+        ]
+
+    def test_run_reads_the_manifest(self):
+        raw = json.loads(Path("manifest.json").read_text())
+        assert RunManifest.load("manifest.json").search_cfg.anneal.cooling == 0.95
+        assert main(["run", "--manifest", "manifest.json"]) == 0
+        text = Path("rerun", "report.json").read_text()
+        assert json.loads(text)["manifest"] == raw and '"cooling": 0.95,' in text
 
 
 @pytest.mark.parametrize(

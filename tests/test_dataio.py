@@ -14,6 +14,7 @@ from benchpursuit.dataio import (
     write_csv,
 )
 from benchpursuit.errors import DataError
+from references import write_csv_reference
 
 
 class TestIngest:
@@ -180,6 +181,27 @@ class TestWriteRoundTrip:
         with pytest.raises(ValueError, match=r"label column '(label|a)' has the name of a data"):
             write_csv(x, tmp_path / "out.csv")
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("case", ["unlabelled", "labelled", "quoted"])
+    @pytest.mark.parametrize("n", [1, 4095, 4097])
+    def test_bytes_of_the_row_at_a_time_writer(self, tmp_path, case, n):
+        """Formatted a block of rows at a time, the file has the bytes of
+        csv.writer writing one row at a time (tests/references.py)."""
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+        edge = [-0.0, 0.0, 5e-324, 0.1, 1e308, -2.5e-308, 1.0, 123456789.0, 1e16]
+        values.flat[: len(edge)] = edge[: values.size]
+        labels = None
+        if case == "labelled":
+            labels = tuple(f"class {i % 3}" for i in range(n))
+        elif case == "quoted":
+            pool = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", " lead", "%s %d %%", "", "é"]
+            labels = tuple(pool[i % len(pool)] for i in range(n))
+        x = DataMatrix(values, ("a", "b c", 'd"'), row_labels=labels,
+                       label_name="kind" if case == "quoted" else None)
+        write_csv(x, tmp_path / "new.csv")
+        write_csv_reference(x, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_newline_convention(self, tmp_path):
         x = DataMatrix(np.ones((2, 2)), ("a", "b"))
