@@ -1,4 +1,5 @@
-"""Work in forked children: one gate, one child type and an ordered map.
+"""Work in forked children: one gate, one size rule, one child type and an
+ordered map.
 
 A child runs the function it inherited through the fork on each request
 sent over its pipe. It ignores SIGINT and exits at EOF, when its parent
@@ -12,6 +13,13 @@ import os
 import signal
 import threading
 from contextlib import contextmanager
+
+# Fewest sample-point x node pairs of SDF work per task for which children
+# are forked. In the sweeps of BENCH_31.json (2 vCPUs) two children broke
+# even at 1.3-2.6e5 pairs per task for an SDF half, 3.1-6.1e5 for an anneal
+# restart and 3.1-6.2e5 for a chunk of geodesic probes, and won by
+# 1.07-1.25x from 5.1-6.2e5 up; BENCH_37.json saw probe chunks win from 1.6e5.
+TASK_PAIRS = 1 << 19
 
 # True in a child forked here, which may not fork children of its own.
 _in_child = False
@@ -51,6 +59,15 @@ def may_fork() -> bool:
         import multiprocessing
 
     return not multiprocessing.current_process().daemon
+
+
+def workers(units: int, task_pairs: float) -> int:
+    """How many children to run ``units`` tasks of ``task_pairs`` pairs each
+    on: min(units, CPUs) when that is two or more, each task reaches
+    ``TASK_PAIRS`` and ``may_fork()`` holds; else 1, to run them here."""
+    if units < 2 or task_pairs < TASK_PAIRS or not may_fork():
+        return 1
+    return min(units, cpus())
 
 
 class Child:

@@ -22,15 +22,6 @@ from .projection_index import IndexConfig, IndexValue, index
 
 log = logging.getLogger(__name__)
 
-# Smallest estimated search work, in sample-point x node pairs (see
-# ``_workers``), at which run_search forks children for a search. On a 2-vCPU
-# VM two children ran two anneal restarts at 0.83-1.05x of one process's
-# speed up to 6.1e5 pairs and at 1.07-1.24x from 1.2e6 up; the probes of one
-# geodesic restart ran at 0.71-1.01x up to 6.0e6 pairs and 1.14-1.48x from
-# 1.2e7 up (sweep in BENCH_31.json).
-_POOL_PAIRS = 2_000_000
-
-
 @dataclass(frozen=True)
 class AnnealConfig:
     """Cooling and step schedule for :func:`anneal_search`.
@@ -120,8 +111,10 @@ def anneal_search(
 
     At step i the proposal is orthonormalize(A + sigma_i * G) with G a matrix
     of standard normal draws, sigma_i = step_scale0 * step_decay**i, accepted
-    by the Metropolis rule at temperature t0 * cooling**i. The best frame
-    seen is returned, which may differ from the final accepted one.
+    by the Metropolis rule at temperature t0 * cooling**i. Once that
+    temperature underflows to 0, only proposals that do not lower the value
+    are accepted, and no acceptance draw is made. The best frame seen is
+    returned, which may differ from the final accepted one.
     """
     a = cfg.anneal
     current, cur_val = start, objective(start)
@@ -133,7 +126,7 @@ def anneal_search(
         cand = orthonormalize(current.matrix + sigma * rng.standard_normal(current.matrix.shape))
         cand_val = objective(cand)
         delta = float(cand_val) - float(cur_val)
-        if delta >= 0 or rng.random() < math.exp(delta / temp):
+        if delta >= 0 or temp > 0 and rng.random() < math.exp(delta / temp):
             current, cur_val = cand, cand_val
         if float(cand_val) > float(best_val):
             best, best_val = cand, cand_val
@@ -293,33 +286,22 @@ def _restart(x, y, d: int, idx_cfg: IndexConfig, search_cfg: SearchConfig, resta
 
 
 def _workers(x, y, idx_cfg: IndexConfig, search_cfg: SearchConfig) -> int:
-    """Forked children for a search; 1 runs it in this process.
+    """Forked children for a search, as ``_fork.workers`` sizes them; 1 runs
+    it in this process.
 
-    A search splits into units that can run at the same time: its restarts
-    when there are two or more, else the probes of each iteration of a
-    single geodesic restart. A single anneal restart is one unit, since each
-    of its steps starts from the last. A search uses min(units, CPUs)
-    children when that is two or more, ``_fork.may_fork()`` holds and its
-    work, estimated in sample-point x node pairs as restarts x evaluations
-    per restart x (n_x + n_y) x n_nodes and counting every probe of a
-    geodesic iteration, reaches ``_POOL_PAIRS``.
+    Two or more restarts are one task each, of (1 + iterations x probes)
+    evaluations, where an anneal step is one probe. A single geodesic
+    restart's probes are sent in chunks of ceil(n_probes / children), and a
+    single anneal restart is one task, since each of its steps starts from
+    the last. An evaluation is (n_x + n_y) x n_nodes pairs.
     """
+    pairs = (x.n + y.n) * idx_cfg.n_nodes
+    probes = search_cfg.geodesic.n_probes if search_cfg.optimizer == "geodesic" else 1
     if search_cfg.restarts > 1:
-        units = search_cfg.restarts
-    elif search_cfg.optimizer == "geodesic":
-        units = search_cfg.geodesic.n_probes
-    else:
-        units = 1
-    workers = min(units, _fork.cpus())
-    if workers < 2 or not _fork.may_fork():
-        return 1
-    if search_cfg.optimizer == "anneal":
-        evaluations = search_cfg.max_iterations + 1
-    else:
-        evaluations = 1 + search_cfg.max_iterations * search_cfg.geodesic.n_probes
-    if search_cfg.restarts * evaluations * (x.n + y.n) * idx_cfg.n_nodes < _POOL_PAIRS:
-        return 1
-    return workers
+        evaluations = 1 + search_cfg.max_iterations * probes
+        return _fork.workers(search_cfg.restarts, evaluations * pairs)
+    chunk = math.ceil(probes / min(probes, _fork.cpus()))
+    return _fork.workers(probes, chunk * pairs)
 
 
 def _on_workers(job: tuple, restart_ids: range, workers: int) -> list:
@@ -365,8 +347,8 @@ def run_search(
     :class:`DataError`, and one the ball map does not support raises
     :class:`ConfigError`, before the first restart.
 
-    When the estimated work reaches ``_POOL_PAIRS`` (see ``_workers``), the
-    search runs on forked children: several restarts one per task, a single
+    When its tasks reach ``_fork.TASK_PAIRS`` (see ``_workers``), the search
+    runs on forked children: several restarts one per task, a single
     geodesic restart its probes. Every restart draws only from its own seed,
     and probes are chosen in probe order, so the solutions have the same
     bits either way; failed restarts are logged here, in restart order.

@@ -23,13 +23,6 @@ from .frames import DataMatrix, ProjectionFrame
 from .sobol import MAX_POINTS, SobolStream
 from .spatial import RegionSpec, combined_region, estimate_sdf_batch
 
-# Smallest min(n_x, n_y) x n_nodes at which index computes the two samples'
-# SDFs at the same time, one of them in the SDF helper. On a 2-vCPU VM, with
-# the kernel that forms its differences as a matrix product, that ran at
-# 0.63-1.12x of serial speed up to 1.3e5 pairs, 1.20-1.33x at 2.6e5 and
-# 1.25-1.84x from 5.1e5 up (sweep in BENCH_31.json).
-_CONCURRENT_PAIRS = 1 << 19
-
 # This process's SDF helper; one whose pipe is closed, by Child.close or by
 # a fork in the forked process, is replaced on the next use.
 _helper: _fork.Child | None = None
@@ -38,10 +31,11 @@ _helper_busy = threading.Lock()
 
 def _sdf_pair(px, py, targets) -> tuple[np.ndarray, np.ndarray]:
     """The SDFs of ``px`` and ``py`` at ``targets``: ``px``'s computed in the
-    helper while this thread computes ``py``'s, from ``_CONCURRENT_PAIRS``
-    pairs up if ``_fork.may_fork()`` and no other thread is using it."""
+    helper while this thread computes ``py``'s, if ``_fork.workers`` forks
+    for two tasks of min(n_x, n_y) x targets pairs and no other thread is
+    using the helper."""
     global _helper
-    if (min(len(px), len(py)) * len(targets) < _CONCURRENT_PAIRS or not _fork.may_fork()
+    if (_fork.workers(2, min(len(px), len(py)) * len(targets)) < 2
             or not _helper_busy.acquire(blocking=False)):
         return estimate_sdf_batch(px, targets), estimate_sdf_batch(py, targets)
     try:
@@ -163,7 +157,7 @@ def index(
 
     The two samples' SDFs come from ``_sdf_pair``, which computes ``x``'s in
     the process's SDF helper when the smaller sample times ``cfg.n_nodes``
-    reaches ``_CONCURRENT_PAIRS``. Each target's sums keep their order in
+    reaches ``_fork.TASK_PAIRS``. Each target's sums keep their order in
     either process, so the value has the same bits on either path.
 
     Raises:

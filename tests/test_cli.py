@@ -367,11 +367,27 @@ class TestRunCommand:
         assert len(warnings) == 1
         assert "restart 1 (seed 4) failed: forced failure" in warnings[0].getMessage()
 
+    def test_anneal_past_zero_temperature_exits_0(self, tmp_path, capsys):
+        """Cooling 0.5 takes the temperature to 0 after 1075 steps; the
+        search goes on, accepting only proposals that do not lower it."""
+        data = tmp_path / "data.csv"
+        write_csv(DataMatrix(np.random.default_rng(5).standard_normal((60, 3)),
+                             ("a", "b", "c")), data)
+        manifest = {"data": str(data), "benchmark": {"kind": "permutation", "seed": 1},
+                    "out_dir": str(tmp_path / "out"),
+                    "search": {"restarts": 1, "max_iterations": 1200,
+                               "anneal": {"cooling": 0.5}}}
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        assert main(["run", "--manifest", str(tmp_path / "m.json")]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["solutions"][0]["iterations_used"] == 1200
+
     def test_failed_restart_in_a_worker_is_logged_and_counted(self, data_csv, tmp_path,
                                                               capsys, caplog, monkeypatch):
         """The same run with its restarts on worker processes: the worker
         returns the failure and the parent logs it."""
-        monkeypatch.setattr(optimize, "_POOL_PAIRS", 0)
+        monkeypatch.setattr(_fork, "TASK_PAIRS", 0)
         monkeypatch.setattr(_fork, "cpus", lambda: 2)
         pools = []
         real_pool = optimize._on_workers
@@ -407,10 +423,9 @@ class TestRunCommand:
         the stage that waits for it, with one RuntimeError naming the child
         and its exit status, and no child is left."""
         monkeypatch.setattr(_fork, "cpus", lambda: 2)
-        monkeypatch.setattr(optimize, "_POOL_PAIRS", 0)
+        monkeypatch.setattr(_fork, "TASK_PAIRS", 0)
         if child == "SDF helper":
             assert_no_child_left()  # so the next helper is forked with the patch below
-            monkeypatch.setattr(projection_index, "_CONCURRENT_PAIRS", 0)
         parent = os.getpid()
         real = getattr(module, name)
 

@@ -227,17 +227,15 @@ _SIGKILL_PARENT = """
 import os, sys, time
 import numpy as np
 import benchpursuit as bp
-from benchpursuit import _fork, optimize, projection_index
+from benchpursuit import _fork, optimize
 
 _fork.cpus = lambda: 2
-optimize._POOL_PAIRS = 0
+_fork.TASK_PAIRS = 0
 rng = np.random.default_rng(0)
 x = bp.DataMatrix(rng.standard_normal((30, 3)), ("a", "b", "c"))
 y = bp.DataMatrix(rng.standard_normal((30, 3)), ("a", "b", "c"))
 if sys.argv[2] == "helper, then restarts":
-    projection_index._CONCURRENT_PAIRS = 0
     bp.index(bp.ProjectionFrame(np.eye(3)[:, :2]), x, y)
-    projection_index._CONCURRENT_PAIRS = 1 << 19
 parent, busy = os.getpid(), False
 real = optimize.index
 
@@ -276,6 +274,9 @@ def test_children_exit_with_a_sigkilled_parent(kind):
     )
     os.close(write_end)
     try:
+        # if no child was forked, the search runs in the parent and never ends
+        if not select.select([parent.stdout], [], [], 60)[0]:
+            pytest.fail("no child was busy within 60 s")
         assert parent.stdout.readline() == "busy\n"
         parent.kill()
         parent.wait(timeout=10)

@@ -269,7 +269,7 @@ def _bits(value: bp.IndexValue) -> str:
 @pytest.fixture
 def concurrent(monkeypatch):
     """Every index call takes the two-process path, on any machine."""
-    monkeypatch.setattr(projection_index, "_CONCURRENT_PAIRS", 0)
+    monkeypatch.setattr(_fork, "TASK_PAIRS", 0)
     monkeypatch.setattr(_fork, "cpus", lambda: 2)
 
 
@@ -314,7 +314,7 @@ import numpy as np
 import benchpursuit as bp
 import benchpursuit._fork as fork
 import benchpursuit.projection_index as pi
-pi._CONCURRENT_PAIRS = 0
+fork.TASK_PAIRS = 0
 fork.cpus = lambda: 2
 x = bp.DataMatrix(np.arange(40.0).reshape(20, 2), ("a", "b"))
 bp.index(bp.ProjectionFrame(np.eye(2)), x, x)
@@ -345,7 +345,7 @@ class TestConcurrentSdf:
         cfg = IndexConfig(n_nodes=50, n_nodes_refine=700)
         got = {}
         for gate in (0, float("inf")):
-            monkeypatch.setattr(projection_index, "_CONCURRENT_PAIRS", gate)
+            monkeypatch.setattr(_fork, "TASK_PAIRS", gate)
             got[gate] = [_bits(bp.index(f, x, y, cfg)), _bits(bp.refine_index(f, x, y, cfg))]
         assert got[0] == got[float("inf")]
 
@@ -391,10 +391,10 @@ class TestConcurrentSdf:
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         monkeypatch.setattr(_fork, "Child", no_helper)
         monkeypatch.setattr(os, "fork", no_helper)
-        monkeypatch.setattr(projection_index, "_CONCURRENT_PAIRS", 0)
+        monkeypatch.setattr(_fork, "TASK_PAIRS", 0)
         x, y = _instance()
         v = bp.index(ProjectionFrame(np.eye(2)), x, y)
-        monkeypatch.setattr(projection_index, "_CONCURRENT_PAIRS", float("inf"))
+        monkeypatch.setattr(_fork, "TASK_PAIRS", float("inf"))
         assert _bits(v) == _bits(bp.index(ProjectionFrame(np.eye(2)), x, y))
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -439,7 +439,7 @@ class TestConcurrentSdf:
         helper = _live_helper()
         got = bp.index(f, y, x)
         assert _live_helper() is helper is not None
-        monkeypatch.setattr(projection_index, "_CONCURRENT_PAIRS", float("inf"))
+        monkeypatch.setattr(_fork, "TASK_PAIRS", float("inf"))
         assert _bits(got) == _bits(bp.index(f, x, y))
 
     def test_threads_share_the_helper(self, monkeypatch, concurrent):
@@ -448,9 +448,9 @@ class TestConcurrentSdf:
         f = ProjectionFrame(np.eye(2))
         jobs = [_instance(seed=int(s), n1=40 + k, n2=60 - k)
                 for k, s in enumerate(rng.integers(0, 10_000, 4))]
-        monkeypatch.setattr(projection_index, "_CONCURRENT_PAIRS", float("inf"))
+        monkeypatch.setattr(_fork, "TASK_PAIRS", float("inf"))
         want = [_bits(bp.index(f, x, y)) for x, y in jobs]
-        monkeypatch.setattr(projection_index, "_CONCURRENT_PAIRS", 0)
+        monkeypatch.setattr(_fork, "TASK_PAIRS", 0)
         results = [None] * len(jobs)
 
         def work(k):
@@ -541,7 +541,7 @@ class TestConcurrentSdf:
         x = DataMatrix(rng.standard_normal((20_000, 2)), ("a", "b"))
         y = DataMatrix(rng.standard_normal((20_000, 2)) + 0.5, ("a", "b"))
         f = ProjectionFrame(np.eye(2))
-        assert 20_000 * 2_000 >= projection_index._CONCURRENT_PAIRS
+        assert 20_000 * 2_000 >= _fork.TASK_PAIRS
         projection_index._unit_ball_nodes(2, 0, 2_000)  # cached nodes, as in a search
         tracemalloc.start()
         try:

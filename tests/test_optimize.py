@@ -183,6 +183,31 @@ class TestAnnealSearch:
         assert float(sol.search_index) == 2.5
         assert np.array_equal(sol.frame.matrix, start.matrix)
 
+    def test_zero_temperature_rejects_lower_values_without_a_draw(self):
+        """With cooling 0.5 the temperature underflows to 0 at step 1075;
+        from there a lower proposal is rejected and no acceptance draw made,
+        so the generator has drawn one proposal per step and one acceptance
+        draw per lower proposal while the temperature was positive."""
+        calls = []
+
+        def falling(frame):  # every proposal is lower than the frame before
+            calls.append(frame)
+            return -float(len(calls))
+
+        start = bp.random_frame(4, 2, np.random.default_rng(0))
+        cfg = SearchConfig(max_iterations=1200, anneal=AnnealConfig(cooling=0.5))
+        rng = np.random.default_rng(9)
+        sol = bp.anneal_search(falling, start, cfg, rng)
+        assert sol.frame is start and float(sol.search_index) == -1.0
+        assert sol.iterations_used == 1200
+        want = np.random.default_rng(9)
+        for i in range(1200):
+            want.standard_normal((4, 2))
+            if 0.5**i > 0:
+                want.random()
+        assert 0.5**1074 > 0 == 0.5**1075
+        assert rng.random() == want.random()
+
 
 def _principal_angles(a, b):
     sig = np.linalg.svd(a.T @ b, compute_uv=False)
@@ -384,8 +409,9 @@ class TestRunSearch:
 @pytest.fixture
 def pooled(monkeypatch):
     """Every search of two or more restarts, or of one geodesic restart,
-    runs on worker processes, on any machine; the list records the worker
-    count of each pool started."""
+    runs on worker processes, and every index in this process uses the SDF
+    helper, on any machine; the list records the worker count of each pool
+    started. Afterwards the helper is closed and no child may be left."""
     started = []
     real = optimize._on_workers
 
@@ -393,10 +419,11 @@ def pooled(monkeypatch):
         started.append(workers)
         return real(job, restart_ids, workers)
 
-    monkeypatch.setattr(optimize, "_POOL_PAIRS", 0)
+    monkeypatch.setattr(_fork, "TASK_PAIRS", 0)
     monkeypatch.setattr(_fork, "cpus", lambda: 2)
     monkeypatch.setattr(optimize, "_on_workers", spy)
-    return started
+    yield started
+    assert_no_child_left()
 
 
 def _fingerprint(solutions):
@@ -461,7 +488,7 @@ class TestRestartPool:
         got = both()
         assert pooled == [2]
         assert_no_child_left()
-        monkeypatch.setattr(optimize, "_POOL_PAIRS", math.inf)
+        monkeypatch.setattr(_fork, "TASK_PAIRS", math.inf)
         want = both()
         assert pooled == [2]
         assert got[0] == want[0]
@@ -483,13 +510,13 @@ class TestRestartPool:
         assert pooled == [2, 2, 2]
 
     def test_restarts_run_in_workers_without_sdf_helper(self, monkeypatch, pooled):
-        """With the SDF gate at 0 on two CPUs, the parent would use its SDF
+        """With the gate at 0 on two CPUs, the parent would use its SDF
         helper; the workers compute each index themselves, forking none."""
         x, y = self._data()
         cfg = SearchConfig(restarts=3, max_iterations=5, rng_seed=7)
+        monkeypatch.setattr(_fork, "TASK_PAIRS", math.inf)
         want = _fingerprint(bp.run_search(x, y, d=2, search_cfg=cfg))
-        monkeypatch.setattr(projection_index, "_CONCURRENT_PAIRS", 0)
-        monkeypatch.setattr(_fork, "cpus", lambda: 2)
+        monkeypatch.setattr(_fork, "TASK_PAIRS", 0)
         parent = os.getpid()
         real = projection_index.estimate_sdf_batch
 
@@ -500,7 +527,7 @@ class TestRestartPool:
 
         monkeypatch.setattr(projection_index, "estimate_sdf_batch", in_worker_thread_only)
         assert _fingerprint(bp.run_search(x, y, d=2, search_cfg=cfg)) == want
-        assert pooled == [2, 2]
+        assert pooled == [2]
 
     def test_failed_restarts_are_logged_in_order(self, monkeypatch, caplog, pooled):
         x, y = self._data()
@@ -572,7 +599,7 @@ class TestRestartPool:
         cfgs = (SearchConfig(restarts=3, max_iterations=4, rng_seed=2),
                 SearchConfig(optimizer="geodesic", restarts=1, max_iterations=3, rng_seed=2))
         wants = [_fingerprint(bp.run_search(x, y, d=2, search_cfg=cfg)) for cfg in cfgs]
-        monkeypatch.setattr(optimize, "_POOL_PAIRS", 0)
+        monkeypatch.setattr(_fork, "TASK_PAIRS", 0)
         monkeypatch.setattr(_fork, "cpus", lambda: 2)
         monkeypatch.setattr(optimize, "_on_workers", _no_pool)
         for cfg, want in zip(cfgs, wants):
@@ -587,10 +614,11 @@ class TestRestartPool:
             assert child.exitcode == 0
 
     def test_when_the_pool_is_used(self, monkeypatch):
-        """Units, CPUs, fork and the work estimate: restarts x evaluations
-        per restart x (n_x + n_y) x n_nodes against the gate. The units are
-        the restarts when there are two or more, the probes of a single
-        geodesic restart, and one for a single anneal restart."""
+        """Units, CPUs, fork and the size of a task against the one gate. Two
+        or more restarts are tasks of (1 + iterations x probes) evaluations,
+        a single geodesic restart's probes tasks of ceil(probes / children)
+        evaluations, and a single anneal restart one task; an evaluation is
+        (n_x + n_y) x n_nodes pairs."""
         x, y = self._data()
         idx = IndexConfig(n_nodes=10)
         anneal = SearchConfig(restarts=3, max_iterations=4)
@@ -598,31 +626,73 @@ class TestRestartPool:
                                 geodesic=GeodesicConfig(n_probes=6))
         probes = replace(geodesic, restarts=1)
         monkeypatch.setattr(_fork, "cpus", lambda: 2)
-        for cfg, work in ((anneal, 3 * 5 * 60 * 10), (geodesic, 3 * 25 * 60 * 10),
-                          (probes, 1 * 25 * 60 * 10)):
-            monkeypatch.setattr(optimize, "_POOL_PAIRS", work)
+        for cfg, task in ((anneal, 5 * 60 * 10), (geodesic, 25 * 60 * 10),
+                          (probes, 3 * 60 * 10)):
+            monkeypatch.setattr(_fork, "TASK_PAIRS", task)
             assert optimize._workers(x, y, idx, cfg) == 2
-            monkeypatch.setattr(optimize, "_POOL_PAIRS", work + 1)
+            monkeypatch.setattr(_fork, "TASK_PAIRS", task + 1)
             assert optimize._workers(x, y, idx, cfg) == 1
-        monkeypatch.setattr(optimize, "_POOL_PAIRS", 0)
+        monkeypatch.setattr(_fork, "cpus", lambda: 8)
+        monkeypatch.setattr(_fork, "TASK_PAIRS", 1 * 60 * 10)  # one probe per child
+        assert optimize._workers(x, y, idx, probes) == 6
+        monkeypatch.setattr(_fork, "TASK_PAIRS", 0)
+        assert optimize._workers(x, y, idx, anneal) == 3
+        assert optimize._workers(x, y, idx, geodesic) == 3
         assert optimize._workers(x, y, idx, SearchConfig(restarts=1)) == 1
         one_probe = replace(probes, geodesic=GeodesicConfig(n_probes=1))
         assert optimize._workers(x, y, idx, one_probe) == 1
-        monkeypatch.setattr(_fork, "cpus", lambda: 8)
-        assert optimize._workers(x, y, idx, anneal) == 3
-        assert optimize._workers(x, y, idx, geodesic) == 3
-        assert optimize._workers(x, y, idx, probes) == 6
-        assert optimize._workers(x, y, idx, SearchConfig(restarts=1)) == 1
         monkeypatch.setattr(_fork, "cpus", lambda: 1)
         assert optimize._workers(x, y, idx, anneal) == 1
         monkeypatch.setattr(_fork, "cpus", lambda: 2)
         monkeypatch.delattr(os, "fork", raising=False)
         assert optimize._workers(x, y, idx, anneal) == 1
 
+    def test_choices_at_the_bench_sizes(self, monkeypatch):
+        """On two CPUs, the bench workloads' choices, as the gates before the
+        one rule made them, and four points of the sweep in BENCH_31.json;
+        under the earlier whole-search gate the second and third went the
+        other, slower way."""
+        monkeypatch.setattr(_fork, "cpus", lambda: 2)
+        asked = []
+        real = _fork.workers
+
+        def recorded(units, task_pairs):  # the choice made; nothing is forked
+            asked.append(real(units, task_pairs))
+            return 1
+
+        monkeypatch.setattr(_fork, "workers", recorded)
+        monkeypatch.setattr(projection_index, "estimate_sdf_batch", lambda sample, targets: None)
+
+        def search(n_x, n_y, nodes, optimizer, restarts, iterations):
+            x, y = (DataMatrix(np.zeros((n, 2)), ("a", "b")) for n in (n_x, n_y))
+            cfg = SearchConfig(optimizer=optimizer, restarts=restarts, max_iterations=iterations)
+            optimize._workers(x, y, IndexConfig(n_nodes=nodes), cfg)
+            return asked.pop()
+
+        def helper(n_x, n_y, nodes):
+            projection_index._sdf_pair(np.zeros((n_x, 2)), np.zeros((n_y, 2)),
+                                       np.zeros((nodes, 2)))
+            return asked.pop() == 2
+
+        # randu-anneal: 10 x 200 anneal on 400 + 400 rows at 50 nodes, refined at 5000
+        assert search(400, 400, 50, "anneal", 10, 200) == 2
+        assert not helper(400, 400, 50) and helper(400, 400, 5000)
+        # class-geodesic-3d: 1 x 30 geodesic on 300 + 600 rows at 200 nodes, refined at 5000
+        assert search(300, 600, 200, "geodesic", 1, 30) == 2
+        assert not helper(300, 600, 200) and helper(300, 600, 5000)
+        # permute-large: 1 x 60 anneal on 20 000 + 20 000 rows at 50 nodes, refined at 2000
+        assert search(20_000, 20_000, 50, "anneal", 1, 60) == 1
+        assert helper(20_000, 20_000, 50) and helper(20_000, 20_000, 2000)
+        # sweep points at 50 nodes, by rows per sample
+        assert search(60, 60, 50, "anneal", 2, 50) == 1
+        assert search(120, 120, 50, "anneal", 2, 50) == 2
+        assert search(240, 240, 50, "geodesic", 1, 10) == 1
+        assert search(480, 480, 50, "geodesic", 1, 10) == 2
+
     def test_one_cpu_affinity_runs_serially(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(optimize, "_POOL_PAIRS", 0)
+        monkeypatch.setattr(_fork, "TASK_PAIRS", 0)
         monkeypatch.setattr(optimize, "_on_workers", _no_pool)
         x, y = self._data()
         sols = bp.run_search(x, y, d=2, search_cfg=SearchConfig(restarts=3, max_iterations=3))
@@ -641,7 +711,7 @@ def _frame_of(call, monkeypatch, x, y, cfg):
         return real(frame, *args)
 
     with monkeypatch.context() as m:
-        m.setattr(optimize, "_POOL_PAIRS", math.inf)
+        m.setattr(_fork, "TASK_PAIRS", math.inf)
         m.setattr(optimize, "index", recording)
         bp.run_search(x, y, d=2, search_cfg=cfg)
     return frames[call]
@@ -677,7 +747,7 @@ class TestProbePool:
 
         got = both()
         assert pooled == [2]
-        monkeypatch.setattr(optimize, "_POOL_PAIRS", math.inf)
+        monkeypatch.setattr(_fork, "TASK_PAIRS", math.inf)
         want = both()
         assert pooled == [2]
         assert got[0] == want[0]
@@ -703,7 +773,7 @@ class TestProbePool:
         monkeypatch.setattr(optimize, "index", fails_on_one_frame)
         outcomes = []
         for pool_pairs in (0, math.inf):
-            monkeypatch.setattr(optimize, "_POOL_PAIRS", pool_pairs)
+            monkeypatch.setattr(_fork, "TASK_PAIRS", pool_pairs)
             caplog.clear()
             sols = bp.run_search(x, y, d=2, search_cfg=cfg)
             warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
